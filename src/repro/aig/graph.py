@@ -52,8 +52,16 @@ Two layers sit on top of the plain rebuild machinery:
   starts a fresh manager whose caches are empty and whose
   ``cache_generation`` is bumped, which is the only invalidation event.
 
+The rebuild loops inline the AND step of :meth:`Aig.land` (one-level
+simplification, strash probe, append to the node arrays) on local
+variables instead of calling it per node.  They create nodes in their
+traversal order, exactly as the per-node calls would, so node ids and
+every numbering derived from them are unchanged; ``land`` is the only
+other place AND nodes are created.
+
 All kernel passes account their work in :class:`KernelCounters`, shared
-across compactions, so callers can compare rebuild strategies.  The
+across compactions, so callers can compare rebuild strategies.  Inlined
+passes count in locals and add to the counters once per pass.  The
 traversal counters (``nodes_visited``, ``nodes_shared``, strash and
 pass counts) are backend-independent; the ``support_cache_*`` counters
 reflect how often the frozenset cache is consulted and therefore differ
@@ -111,6 +119,25 @@ class KernelCounters:
     def __repr__(self) -> str:
         inner = ", ".join(f"{k}={v}" for k, v in self.as_dict().items())
         return f"KernelCounters({inner})"
+
+
+class _SupportMask:
+    """Python-backend stand-in for a numpy dependency mask.
+
+    ``mask[node]`` is ``not support(edge).isdisjoint(labels)``, computed
+    on every read, so the support cache sees exactly the queries of a
+    per-node support test and its counters do not depend on the loop
+    that reads the mask.
+    """
+
+    __slots__ = ("_support", "_labels")
+
+    def __init__(self, support: Callable[[int], frozenset], labels: Iterable[int]) -> None:
+        self._support = support
+        self._labels = labels
+
+    def __getitem__(self, node: int) -> bool:
+        return not self._support(node << 1).isdisjoint(self._labels)
 
 
 def edge_of(node: int, complemented: bool = False) -> int:
@@ -185,7 +212,12 @@ class Aig:
         return complement(edge) if lit < 0 else edge
 
     def land(self, a: int, b: int) -> int:
-        """AND of two edges with one-level simplification and strashing."""
+        """AND of two edges with one-level simplification and strashing.
+
+        The public one-off constructor.  The rebuild loops (``rebuild``,
+        ``restrict``, ``cofactor2``, ``eliminate_universal_fused``) run
+        the same step inline on local variables; both must stay in sync.
+        """
         if a == FALSE or b == FALSE or a == complement(b):
             return FALSE
         if a == TRUE:
@@ -291,27 +323,33 @@ class Aig:
         so it stays the traversal-shaped post-order rather than the
         ascending-id order the array core could produce cheaply.  Use
         :meth:`_cone_nodes_ascending` / the kernel cone masks when only
-        membership matters.
+        membership matters.  A node is stamped in ``_mark`` when it is
+        emitted, so the stamp plays the role of a "seen" set.
         """
-        seen: Set[int] = set()
+        self._travid += 1
+        travid = self._travid
+        mark = self._mark
         order: List[int] = []
         fanin0, fanin1 = self._fanin0, self._fanin1
         stack = [root >> 1]
         while stack:
             node = stack.pop()
-            if node in seen:
+            if mark[node] == travid:
                 continue
-            if fanin0[node] >= 0:
-                pending = [
-                    n
-                    for n in (fanin0[node] >> 1, fanin1[node] >> 1)
-                    if n not in seen
-                ]
-                if pending:
+            f0 = fanin0[node]
+            if f0 >= 0:
+                child0 = f0 >> 1
+                child1 = fanin1[node] >> 1
+                pending0 = mark[child0] != travid
+                pending1 = mark[child1] != travid
+                if pending0 or pending1:
                     stack.append(node)
-                    stack.extend(pending)
+                    if pending0:
+                        stack.append(child0)
+                    if pending1:
+                        stack.append(child1)
                     continue
-            seen.add(node)
+            mark[node] = travid
             order.append(node)
         return order
 
@@ -506,25 +544,57 @@ class Aig:
         to themselves.  Returns the list of rebuilt root edges.
         """
         target = target if target is not None else self
-        counters = self.counters
-        counters.rebuild_passes += 1
+        fanin0, fanin1, labels = self._fanin0, self._fanin1, self._input_label
+        # Inline strash into ``target`` (see ``land``); nodes are created
+        # in cone order, exactly as a per-node ``target.land`` would.
+        t_fanin0, t_level = target._fanin0, target._level
+        add_fanin0, add_fanin1 = t_fanin0.append, target._fanin1.append
+        add_label, add_level, add_mark = (
+            target._input_label.append, t_level.append, target._mark.append
+        )
+        strash = target._strash
+        strash_get = strash.get
+        new_var = target.var
+        visited = lookups = hits = 0
         cache: Dict[int, int] = {0: FALSE}  # node -> rebuilt edge (uncomplemented view)
         for root in roots:
             for node in self.cone_nodes(root):
                 if node in cache:
                     continue
-                counters.nodes_visited += 1
-                if self.is_input(node):
-                    label = self._input_label[node]
-                    if label in leaf_map:
-                        cache[node] = leaf_map[label]
-                    else:
-                        cache[node] = target.var(label)
+                visited += 1
+                f0 = fanin0[node]
+                if f0 < 0:  # input node
+                    label = labels[node]
+                    edge = leaf_map.get(label)
+                    cache[node] = new_var(label) if edge is None else edge
+                    continue
+                f1 = fanin1[node]
+                a = cache[f0 >> 1] ^ (f0 & 1)
+                b = cache[f1 >> 1] ^ (f1 & 1)
+                if a == FALSE or b == FALSE or a == (b ^ 1):
+                    cache[node] = FALSE
+                elif a == TRUE or b == TRUE or a == b:
+                    cache[node] = b if a == TRUE else a
                 else:
-                    f0, f1 = self._fanin0[node], self._fanin1[node]
-                    e0 = cache[node_of(f0)] ^ (f0 & 1)
-                    e1 = cache[node_of(f1)] ^ (f1 & 1)
-                    cache[node] = target.land(e0, e1)
+                    key = (a, b) if a < b else (b, a)
+                    lookups += 1
+                    new = strash_get(key)
+                    if new is None:
+                        new = strash[key] = len(t_fanin0)
+                        la, lb = t_level[a >> 1], t_level[b >> 1]
+                        add_fanin0(key[0])
+                        add_fanin1(key[1])
+                        add_label(0)
+                        add_level(1 + (la if la >= lb else lb))
+                        add_mark(0)
+                    else:
+                        hits += 1
+                    cache[node] = new << 1
+        counters = self.counters
+        counters.rebuild_passes += 1
+        counters.nodes_visited += visited
+        target.counters.strash_lookups += lookups
+        target.counters.strash_hits += hits
         return [cache[node_of(r)] ^ (r & 1) for r in roots]
 
     def cofactor(self, root: int, var: int, value: bool) -> int:
@@ -552,6 +622,14 @@ class Aig:
     # ------------------------------------------------------------------
     # fused kernel: single-pass substitution / cofactoring / elimination
     # ------------------------------------------------------------------
+    def _count_fused_pass(self, visited: int, shared: int, lookups: int, hits: int) -> None:
+        counters = self.counters
+        counters.fused_passes += 1
+        counters.nodes_visited += visited
+        counters.nodes_shared += shared
+        counters.strash_lookups += lookups
+        counters.strash_hits += hits
+
     def restrict(self, root: int, assignment: Dict[int, bool]) -> int:
         """Substitute constants for several external variables in one pass.
 
@@ -562,197 +640,91 @@ class Aig:
         """
         if root < 2 or not assignment:
             return root
-        touched = frozenset(assignment)
+        # depends[node]: the cone of node contains a substituted variable
         if self.backend == "numpy":
-            depends = self._np.depends_mask(touched)
-            if not depends[root >> 1]:
-                return root
-            return self._restrict_masked(root, assignment, depends)
-        support_of = self.support_of
-        if support_of(root).isdisjoint(touched):
+            depends = self._np.depends_mask(assignment)
+        else:
+            depends = _SupportMask(self.support_of, frozenset(assignment))
+        if not depends[root >> 1]:
             return root
-        counters = self.counters
-        counters.fused_passes += 1
+        fanin0, fanin1, labels, level = self._fanin0, self._fanin1, self._input_label, self._level
+        # Inline strash (see ``land``): the AND step appends straight to
+        # the node arrays, counting work in locals until the pass ends.
+        add_fanin0, add_fanin1 = fanin0.append, fanin1.append
+        add_label, add_level, add_mark = labels.append, level.append, self._mark.append
+        strash = self._strash
+        strash_get = strash.get
+        visited = shared = lookups = hits = 0
         cache: Dict[int, int] = {0: FALSE}
-        stack = [node_of(root)]
-        while stack:
-            node = stack[-1]
-            if node in cache:
-                stack.pop()
-                continue
-            if support_of(edge_of(node)).isdisjoint(touched):
-                cache[node] = edge_of(node)
-                counters.nodes_shared += 1
-                stack.pop()
-                continue
-            if self.is_input(node):
-                cache[node] = TRUE if assignment[self._input_label[node]] else FALSE
-                counters.nodes_visited += 1
-                stack.pop()
-                continue
-            f0, f1 = self._fanin0[node], self._fanin1[node]
-            r0 = cache.get(node_of(f0))
-            r1 = cache.get(node_of(f1))
-            if r0 is None or r1 is None:
-                if r0 is None:
-                    stack.append(node_of(f0))
-                if r1 is None:
-                    stack.append(node_of(f1))
-                continue
-            cache[node] = self.land(r0 ^ (f0 & 1), r1 ^ (f1 & 1))
-            counters.nodes_visited += 1
-            stack.pop()
-        return cache[node_of(root)] ^ (root & 1)
-
-    def _restrict_masked(
-        self, root: int, assignment: Dict[int, bool], depends: List[bool]
-    ) -> int:
-        """`restrict` with the share test precomputed as a dependency mask.
-
-        ``depends[node]`` is exactly ``not support_of(node).isdisjoint
-        (assignment)``, so the traversal makes identical decisions and
-        counts identical work to the python path.
-        """
-        counters = self.counters
-        counters.fused_passes += 1
-        cache: Dict[int, int] = {0: FALSE}
-        stack = [node_of(root)]
+        stack = [root >> 1]
         while stack:
             node = stack[-1]
             if node in cache:
                 stack.pop()
                 continue
             if not depends[node]:
-                cache[node] = edge_of(node)
-                counters.nodes_shared += 1
+                cache[node] = node << 1
+                shared += 1
                 stack.pop()
                 continue
-            if self.is_input(node):
-                cache[node] = TRUE if assignment[self._input_label[node]] else FALSE
-                counters.nodes_visited += 1
+            f0 = fanin0[node]
+            if f0 < 0:  # a substituted input
+                cache[node] = TRUE if assignment[labels[node]] else FALSE
+                visited += 1
                 stack.pop()
                 continue
-            f0, f1 = self._fanin0[node], self._fanin1[node]
-            r0 = cache.get(node_of(f0))
-            r1 = cache.get(node_of(f1))
-            if r0 is None or r1 is None:
-                if r0 is None:
-                    stack.append(node_of(f0))
-                if r1 is None:
-                    stack.append(node_of(f1))
+            f1 = fanin1[node]
+            a = cache.get(f0 >> 1)
+            b = cache.get(f1 >> 1)
+            if a is None or b is None:
+                if a is None:
+                    stack.append(f0 >> 1)
+                if b is None:
+                    stack.append(f1 >> 1)
                 continue
-            cache[node] = self.land(r0 ^ (f0 & 1), r1 ^ (f1 & 1))
-            counters.nodes_visited += 1
+            a ^= f0 & 1
+            b ^= f1 & 1
+            if a == FALSE or b == FALSE or a == (b ^ 1):
+                cache[node] = FALSE
+            elif a == TRUE or b == TRUE or a == b:
+                cache[node] = b if a == TRUE else a
+            else:
+                key = (a, b) if a < b else (b, a)
+                lookups += 1
+                new = strash_get(key)
+                if new is None:
+                    new = strash[key] = len(fanin0)
+                    la, lb = level[a >> 1], level[b >> 1]
+                    add_fanin0(key[0])
+                    add_fanin1(key[1])
+                    add_label(0)
+                    add_level(1 + (la if la >= lb else lb))
+                    add_mark(0)
+                else:
+                    hits += 1
+                cache[node] = new << 1
+            visited += 1
             stack.pop()
-        return cache[node_of(root)] ^ (root & 1)
+        self._count_fused_pass(visited, shared, lookups, hits)
+        return cache[root >> 1] ^ (root & 1)
 
     def cofactor2(self, root: int, var: int) -> Tuple[int, int]:
         """Both Shannon cofactors of ``root`` w.r.t. ``var`` in one pass.
 
         Nodes independent of ``var`` are shared between the input cone
         and both cofactors; the rest of the cone is visited exactly once
-        (instead of twice for two :meth:`cofactor` calls).
+        (instead of twice for two :meth:`cofactor` calls).  This is the
+        Theorem-1 kernel with no dependents to rename.
         """
-        if root < 2:
-            return root, root
-        if self.backend == "numpy":
-            depends = self._np.depends_mask((var,))
-            if not depends[root >> 1]:
-                return root, root
-            return self._cofactor2_masked(root, depends)
-        support_of = self.support_of
-        if var not in support_of(root):
-            return root, root
-        counters = self.counters
-        counters.fused_passes += 1
-        # node -> (0-cofactor edge, 1-cofactor edge), uncomplemented view
-        cache: Dict[int, Tuple[int, int]] = {0: (FALSE, FALSE)}
-        stack = [node_of(root)]
-        while stack:
-            node = stack[-1]
-            if node in cache:
-                stack.pop()
-                continue
-            if var not in support_of(edge_of(node)):
-                edge = edge_of(node)
-                cache[node] = (edge, edge)
-                counters.nodes_shared += 1
-                stack.pop()
-                continue
-            if self.is_input(node):  # the variable itself
-                cache[node] = (FALSE, TRUE)
-                counters.nodes_visited += 1
-                stack.pop()
-                continue
-            f0, f1 = self._fanin0[node], self._fanin1[node]
-            p0 = cache.get(node_of(f0))
-            p1 = cache.get(node_of(f1))
-            if p0 is None or p1 is None:
-                if p0 is None:
-                    stack.append(node_of(f0))
-                if p1 is None:
-                    stack.append(node_of(f1))
-                continue
-            c0, c1 = f0 & 1, f1 & 1
-            cache[node] = (
-                self.land(p0[0] ^ c0, p1[0] ^ c1),
-                self.land(p0[1] ^ c0, p1[1] ^ c1),
-            )
-            counters.nodes_visited += 1
-            stack.pop()
-        e0, e1 = cache[node_of(root)]
-        sign = root & 1
-        return e0 ^ sign, e1 ^ sign
-
-    def _cofactor2_masked(self, root: int, depends: List[bool]) -> Tuple[int, int]:
-        """`cofactor2` with the per-node ``var in support`` test replaced
-        by the precomputed dependency mask (identical traversal)."""
-        counters = self.counters
-        counters.fused_passes += 1
-        cache: Dict[int, Tuple[int, int]] = {0: (FALSE, FALSE)}
-        stack = [node_of(root)]
-        while stack:
-            node = stack[-1]
-            if node in cache:
-                stack.pop()
-                continue
-            if not depends[node]:
-                edge = edge_of(node)
-                cache[node] = (edge, edge)
-                counters.nodes_shared += 1
-                stack.pop()
-                continue
-            if self.is_input(node):  # the variable itself
-                cache[node] = (FALSE, TRUE)
-                counters.nodes_visited += 1
-                stack.pop()
-                continue
-            f0, f1 = self._fanin0[node], self._fanin1[node]
-            p0 = cache.get(node_of(f0))
-            p1 = cache.get(node_of(f1))
-            if p0 is None or p1 is None:
-                if p0 is None:
-                    stack.append(node_of(f0))
-                if p1 is None:
-                    stack.append(node_of(f1))
-                continue
-            c0, c1 = f0 & 1, f1 & 1
-            cache[node] = (
-                self.land(p0[0] ^ c0, p1[0] ^ c1),
-                self.land(p0[1] ^ c0, p1[1] ^ c1),
-            )
-            counters.nodes_visited += 1
-            stack.pop()
-        e0, e1 = cache[node_of(root)]
-        sign = root & 1
-        return e0 ^ sign, e1 ^ sign
+        cofactor0, cofactor1, _copies = self.eliminate_universal_fused(root, var, (), None)
+        return cofactor0, cofactor1
 
     def eliminate_universal_fused(
         self,
         root: int,
         var: int,
         dependents: Iterable[int],
-        fresh: Callable[[], int],
+        fresh: Optional[Callable[[], int]],
     ) -> Tuple[int, int, Dict[int, int]]:
         """Theorem-1 kernel: both cofactors *and* the dependent rename of
         the 1-cofactor in a single cone traversal.
@@ -760,31 +732,35 @@ class Aig:
         ``dependents`` are the existential variables whose dependency
         sets contain ``var``; each one actually used while building the
         1-cofactor is renamed to a fresh variable obtained from
-        ``fresh()``.  Returns ``(cofactor0, renamed_cofactor1, copies)``
+        ``fresh()`` (never called without dependents, so it may then be
+        ``None``).  Returns ``(cofactor0, renamed_cofactor1, copies)``
         where ``copies`` maps originals to their fresh names, filtered
         to the copies that survive simplification (i.e. that occur in
         the returned 1-cofactor).
 
         Sharing rule: a node is reused verbatim on the 0-side whenever
-        its cone misses ``var``, and on the 1-side whenever its cone
-        also misses every dependent (otherwise the rename forces a
-        rebuild even though the cofactor is trivial).
+        its cone misses ``var`` (``dep_var``), and on the 1-side whenever
+        its cone also misses every dependent (``dep_rel``; otherwise the
+        rename forces a rebuild even though the cofactor is trivial).
         """
         dependents = frozenset(dependents)
         if root < 2:
             return root, root, {}
         if self.backend == "numpy":
-            dep_var, dep_rel = self._np.depends_mask2(var, dependents)
+            if dependents:
+                dep_var, dep_rel = self._np.depends_mask2(var, dependents)
+            else:  # a plain double cofactor: one mask serves both tests
+                dep_var = dep_rel = self._np.depends_mask((var,))
             if not dep_var[root >> 1]:
                 return root, root, {}
-            return self._eliminate_fused_masked(root, var, fresh, dep_var, dep_rel)
-        support_of = self.support_of
-        root_support = support_of(root)
-        if var not in root_support:
-            return root, root, {}
-        relevant = dependents | {var}
-        counters = self.counters
-        counters.fused_passes += 1
+        else:
+            if var not in self.support_of(root):
+                return root, root, {}
+            # One counted support query per examined node (dep_rel); the
+            # var test then reads the entry that query has just cached.
+            support = self._support
+            dep_rel = _SupportMask(self.support_of, dependents | {var})
+            dep_var = _SupportMask(lambda edge: support[edge >> 1], (var,))
         copies: Dict[int, int] = {}
         copy_edges: Dict[int, int] = {}
 
@@ -796,134 +772,110 @@ class Aig:
                 copy_edges[label] = edge
             return edge
 
-        cache: Dict[int, Tuple[int, int]] = {0: (FALSE, FALSE)}
-        stack = [node_of(root)]
+        fanin0, fanin1, labels, level = self._fanin0, self._fanin1, self._input_label, self._level
+        # Inline strash (see ``land``): the AND step appends straight to
+        # the node arrays, counting work in locals until the pass ends.
+        add_fanin0, add_fanin1 = fanin0.append, fanin1.append
+        add_label, add_level, add_mark = labels.append, level.append, self._mark.append
+        strash = self._strash
+        strash_get = strash.get
+        visited = shared = lookups = hits = 0
+        lo: Dict[int, int] = {0: FALSE}
+        hi: Dict[int, int] = {0: FALSE}
+        stack = [root >> 1]
         while stack:
             node = stack[-1]
-            if node in cache:
-                stack.pop()
-                continue
-            node_support = support_of(edge_of(node))
-            if node_support.isdisjoint(relevant):
-                edge = edge_of(node)
-                cache[node] = (edge, edge)
-                counters.nodes_shared += 1
-                stack.pop()
-                continue
-            if self.is_input(node):
-                label = self._input_label[node]
-                if label == var:
-                    cache[node] = (FALSE, TRUE)
-                else:  # a dependent: identical on the 0-side, renamed on the 1-side
-                    cache[node] = (edge_of(node), renamed_input(label))
-                counters.nodes_visited += 1
-                stack.pop()
-                continue
-            f0, f1 = self._fanin0[node], self._fanin1[node]
-            p0 = cache.get(node_of(f0))
-            p1 = cache.get(node_of(f1))
-            if p0 is None or p1 is None:
-                if p0 is None:
-                    stack.append(node_of(f0))
-                if p1 is None:
-                    stack.append(node_of(f1))
-                continue
-            c0, c1 = f0 & 1, f1 & 1
-            if var in node_support:
-                e0 = self.land(p0[0] ^ c0, p1[0] ^ c1)
-            else:  # cofactoring is trivial here; only the rename matters
-                e0 = edge_of(node)
-                counters.nodes_shared += 1
-            cache[node] = (e0, self.land(p0[1] ^ c0, p1[1] ^ c1))
-            counters.nodes_visited += 1
-            stack.pop()
-        e0, e1 = cache[node_of(root)]
-        sign = root & 1
-        cofactor0, cofactor1 = e0 ^ sign, e1 ^ sign
-        if copies:
-            # The same pass's support data tells us which copies survived
-            # the one-level simplifications — no extra cone walk.
-            survivors = self.support_of(cofactor1) if cofactor1 > 1 else _EMPTY_SUPPORT
-            copies = {y: y2 for y, y2 in copies.items() if y2 in survivors}
-        return cofactor0, cofactor1, copies
-
-    def _eliminate_fused_masked(
-        self,
-        root: int,
-        var: int,
-        fresh: Callable[[], int],
-        dep_var: List[bool],
-        dep_rel: List[bool],
-    ) -> Tuple[int, int, Dict[int, int]]:
-        """Theorem-1 kernel with both classifications precomputed as masks:
-        ``dep_var[node]`` = cone contains ``var`` (0-side sharing),
-        ``dep_rel[node]`` = cone touches ``var`` or any dependent
-        (1-side sharing).  Same traversal and counters as the python
-        path."""
-        counters = self.counters
-        counters.fused_passes += 1
-        copies: Dict[int, int] = {}
-        copy_edges: Dict[int, int] = {}
-
-        def renamed_input(label: int) -> int:
-            edge = copy_edges.get(label)
-            if edge is None:
-                copies[label] = fresh()
-                edge = self.var(copies[label])
-                copy_edges[label] = edge
-            return edge
-
-        cache: Dict[int, Tuple[int, int]] = {0: (FALSE, FALSE)}
-        stack = [node_of(root)]
-        while stack:
-            node = stack[-1]
-            if node in cache:
+            if node in lo:
                 stack.pop()
                 continue
             if not dep_rel[node]:
-                edge = edge_of(node)
-                cache[node] = (edge, edge)
-                counters.nodes_shared += 1
+                lo[node] = hi[node] = node << 1
+                shared += 1
                 stack.pop()
                 continue
-            if self.is_input(node):
-                label = self._input_label[node]
+            f0 = fanin0[node]
+            if f0 < 0:
+                label = labels[node]
                 if label == var:
-                    cache[node] = (FALSE, TRUE)
+                    lo[node] = FALSE
+                    hi[node] = TRUE
                 else:  # a dependent: identical on the 0-side, renamed on the 1-side
-                    cache[node] = (edge_of(node), renamed_input(label))
-                counters.nodes_visited += 1
+                    lo[node] = node << 1
+                    hi[node] = renamed_input(label)
+                visited += 1
                 stack.pop()
                 continue
-            f0, f1 = self._fanin0[node], self._fanin1[node]
-            p0 = cache.get(node_of(f0))
-            p1 = cache.get(node_of(f1))
-            if p0 is None or p1 is None:
-                if p0 is None:
-                    stack.append(node_of(f0))
-                if p1 is None:
-                    stack.append(node_of(f1))
+            f1 = fanin1[node]
+            n0, n1 = f0 >> 1, f1 >> 1
+            a = lo.get(n0)
+            b = lo.get(n1)
+            if a is None or b is None:
+                if a is None:
+                    stack.append(n0)
+                if b is None:
+                    stack.append(n1)
                 continue
             c0, c1 = f0 & 1, f1 & 1
             if dep_var[node]:
-                e0 = self.land(p0[0] ^ c0, p1[0] ^ c1)
+                a ^= c0
+                b ^= c1
+                if a == FALSE or b == FALSE or a == (b ^ 1):
+                    lo[node] = FALSE
+                elif a == TRUE or b == TRUE or a == b:
+                    lo[node] = b if a == TRUE else a
+                else:
+                    key = (a, b) if a < b else (b, a)
+                    lookups += 1
+                    new = strash_get(key)
+                    if new is None:
+                        new = strash[key] = len(fanin0)
+                        la, lb = level[a >> 1], level[b >> 1]
+                        add_fanin0(key[0])
+                        add_fanin1(key[1])
+                        add_label(0)
+                        add_level(1 + (la if la >= lb else lb))
+                        add_mark(0)
+                    else:
+                        hits += 1
+                    lo[node] = new << 1
             else:  # cofactoring is trivial here; only the rename matters
-                e0 = edge_of(node)
-                counters.nodes_shared += 1
-            cache[node] = (e0, self.land(p0[1] ^ c0, p1[1] ^ c1))
-            counters.nodes_visited += 1
+                lo[node] = node << 1
+                shared += 1
+            a = hi[n0] ^ c0
+            b = hi[n1] ^ c1
+            if a == FALSE or b == FALSE or a == (b ^ 1):
+                hi[node] = FALSE
+            elif a == TRUE or b == TRUE or a == b:
+                hi[node] = b if a == TRUE else a
+            else:
+                key = (a, b) if a < b else (b, a)
+                lookups += 1
+                new = strash_get(key)
+                if new is None:
+                    new = strash[key] = len(fanin0)
+                    la, lb = level[a >> 1], level[b >> 1]
+                    add_fanin0(key[0])
+                    add_fanin1(key[1])
+                    add_label(0)
+                    add_level(1 + (la if la >= lb else lb))
+                    add_mark(0)
+                else:
+                    hits += 1
+                hi[node] = new << 1
+            visited += 1
             stack.pop()
-        e0, e1 = cache[node_of(root)]
+        self._count_fused_pass(visited, shared, lookups, hits)
         sign = root & 1
-        cofactor0, cofactor1 = e0 ^ sign, e1 ^ sign
+        cofactor0, cofactor1 = lo[root >> 1] ^ sign, hi[root >> 1] ^ sign
         if copies:
-            # Survivor filtering needs the 1-cofactor's support once; a
-            # single vectorized cone sweep, no per-node cache fills.
-            survivors = (
-                self._np.cone_support(cofactor1 >> 1)
-                if cofactor1 > 1
-                else _EMPTY_SUPPORT
-            )
+            # The 1-cofactor's support tells which copies survived the
+            # one-level simplifications — no extra per-node walk.
+            if cofactor1 < 2:
+                survivors = _EMPTY_SUPPORT
+            elif self.backend == "numpy":
+                survivors = self._np.cone_support(cofactor1 >> 1)
+            else:
+                survivors = self.support_of(cofactor1)
             copies = {y: y2 for y, y2 in copies.items() if y2 in survivors}
         return cofactor0, cofactor1, copies
 

@@ -53,11 +53,13 @@ def find_units(aig: Aig, root: int) -> Dict[int, bool]:
     units: Dict[int, bool] = {}
     if root in (TRUE, FALSE):
         return units
+    # Input nodes are exactly the nodes with a nonzero label.
+    fanin0, fanin1, labels = aig._fanin0, aig._fanin1, aig._input_label
     node = node_of(root)
     if is_complemented(root):
         # phi = !n.  Only when n is an input is a (negative) unit visible.
-        if aig.is_input(node):
-            units[aig.input_label(node)] = False
+        if labels[node]:
+            units[labels[node]] = False
         return units
     # Walk the top-level conjunction: descend through uncomplemented AND edges.
     stack = [node]
@@ -67,17 +69,17 @@ def find_units(aig: Aig, root: int) -> Dict[int, bool]:
         if node in seen:
             continue
         seen.add(node)
-        if aig.is_input(node):
-            units[aig.input_label(node)] = True
+        f0 = fanin0[node]
+        if f0 < 0:  # an input, or the constant node (label 0)
+            if labels[node]:
+                units[labels[node]] = True
             continue
-        if not aig.is_and(node):
-            continue
-        for fanin in aig.fanins(node):
-            child = node_of(fanin)
-            if is_complemented(fanin):
+        for fanin in (f0, fanin1[node]):
+            child = fanin >> 1
+            if fanin & 1:
                 # A single negation right above an input node: negative unit.
-                if aig.is_input(child):
-                    units[aig.input_label(child)] = False
+                if labels[child]:
+                    units[labels[child]] = False
             else:
                 stack.append(child)
     return units

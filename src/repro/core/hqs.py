@@ -22,7 +22,8 @@ baseline are realized.
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Set
+from contextlib import contextmanager
+from typing import Dict, Iterator, List, Optional, Set
 
 from ..aig.cnf_bridge import cnf_to_aig, is_satisfiable
 from ..aig.fraig import FraigEngine, FraigOptions
@@ -50,6 +51,19 @@ from .selection import (
 )
 from .state import AigDqbf
 from .unitpure import UnitPureStats, apply_unit_pure
+
+
+#: Per-stage wall-clock timers in ``SolveResult.stats``, in pipeline
+#: order.  Always present: a stage that never ran reports 0.0.
+STAGE_TIMERS = (
+    "time_preprocess",
+    "time_aig_build",
+    "time_probe",
+    "time_maxsat",
+    "time_fraig",
+    "time_eliminate",
+    "time_qbf",
+)
 
 
 class HqsOptions:
@@ -162,6 +176,15 @@ class HqsSolver:
         """Accumulate elapsed wall-clock since ``tick`` into a stage timer."""
         self.stats[key] = self.stats.get(key, 0.0) + (time.monotonic() - tick)
 
+    @contextmanager
+    def _timed(self, key: str) -> Iterator[None]:
+        """Accumulate the wall-clock of the ``with`` body into a stage timer."""
+        tick = time.monotonic()
+        try:
+            yield
+        finally:
+            self._add_time(key, tick)
+
     # ------------------------------------------------------------------
     def solve(
         self,
@@ -188,7 +211,7 @@ class HqsSolver:
         self.stats = {}
         # Per-stage wall-clock accounting, always present (0.0 when a
         # stage never ran) so sweep reports can aggregate uniformly.
-        for key in ("time_fraig", "time_maxsat", "time_eliminate", "time_qbf"):
+        for key in STAGE_TIMERS:
             self.stats[key] = 0.0
         self.trace = []
         start = time.monotonic()
@@ -243,7 +266,10 @@ class HqsSolver:
         guard.enter_stage("preprocess")
         gates: List[Gate] = []
         if options.use_preprocessing:
-            pre = preprocess(formula, detect_gates=options.use_gate_detection, guard=guard)
+            with self._timed("time_preprocess"):
+                pre = preprocess(
+                    formula, detect_gates=options.use_gate_detection, guard=guard
+                )
             self.stats.update({f"pre_{k}": v for k, v in pre.stats.as_dict().items()})
             if pre.status is not None:
                 self._trace(f"preprocessing decided the formula: {pre.status}")
@@ -260,7 +286,8 @@ class HqsSolver:
             work = formula.copy()
 
         guard.check()
-        state = self._build_state(work, gates)
+        with self._timed("time_aig_build"):
+            state = self._build_state(work, gates)
         state.prune_prefix()
         self._bind_services(state, guard)
         self.stats["initial_matrix_size"] = state.matrix_size()
@@ -273,12 +300,15 @@ class HqsSolver:
             f"({'fused' if options.use_fused_kernel else 'naive'} kernel)"
         )
 
-        if options.use_sat_probe and not self._sat_probe(state, guard):
-            # The all-zero universal branch has no satisfying existential
-            # assignment, so no Skolem functions can exist.
-            self.stats["sat_probe_refuted"] = 1
-            self._trace("SAT probe refuted the all-zero branch: UNSAT")
-            return False
+        if options.use_sat_probe:
+            with self._timed("time_probe"):
+                refuted = not self._sat_probe(state, guard)
+            if refuted:
+                # The all-zero universal branch has no satisfying existential
+                # assignment, so no Skolem functions can exist.
+                self.stats["sat_probe_refuted"] = 1
+                self._trace("SAT probe refuted the all-zero branch: UNSAT")
+                return False
 
         eliminations = {"universal": 0, "existential": 0}
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
+from ..core.hqs import STAGE_TIMERS
 from .runner import BenchConfig, RunRecord, run_suite
 
 
@@ -41,18 +42,14 @@ def maxsat_times(records: Sequence[RunRecord]) -> List[float]:
     ]
 
 
-# Per-stage wall-clock timers accumulated by HqsSolver.solve(); see
-# repro.core.hqs (the keys are initialized to 0.0 at the start of every
-# solve, so their presence distinguishes "stage never entered" from
-# "stats produced by an older checkpoint").
-STAGE_TIMERS = ("time_fraig", "time_maxsat", "time_eliminate", "time_qbf")
-
-
 def stage_time_totals(records: Sequence[RunRecord]) -> Dict[str, float]:
     """Suite-wide wall-clock per HQS pipeline stage.
 
-    Sums the ``time_*`` stage timers over every HQS run (solved or not —
-    an aborted run still spent the time).
+    Sums the ``time_*`` stage timers (``STAGE_TIMERS``, defined next to
+    the solver in :mod:`repro.core.hqs`) over every HQS run (solved or
+    not — an aborted run still spent the time).  The keys are set to 0.0
+    at the start of every solve, so a missing key means stats from an
+    older checkpoint, not a stage that never ran.
     """
     totals: Dict[str, float] = {key: 0.0 for key in STAGE_TIMERS}
     for r in records:

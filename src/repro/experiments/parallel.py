@@ -151,6 +151,9 @@ class _Job:
         without sending one (``ERROR``), or the hard deadline passed
         (kill + ``TIMEOUT``).
         """
+        # Liveness first: a worker that sends its payload and exits
+        # between the two checks must not be mistaken for a dead one.
+        alive = self.process.is_alive()
         if self.conn.poll(0):
             try:
                 payload = self.conn.recv()
@@ -160,7 +163,7 @@ class _Job:
                 self._reap()
                 return payload
             return self._dead_payload()
-        if not self.process.is_alive():
+        if not alive:
             # died without sending anything (segfault, os._exit, kill)
             return self._dead_payload()
         if self.deadline is not None and time.monotonic() > self.deadline:

@@ -86,7 +86,8 @@ def solve_aig_qbf(
             aig = fresh
             if sat_session is not None:
                 sat_session.rebind(aig)
-        guard.check_nodes(aig.cone_size(root))
+            live = aig.cone_size(root)
+        guard.check_nodes(live)
         guard.note(qbf_quantifier_eliminations=float(stats.quantifier_eliminations))
 
         support = aig.support_of(root)

@@ -7,7 +7,16 @@ import random
 import pytest
 from hypothesis import strategies as st
 
+from repro.aig.backend import numpy_available
+from repro.aig.graph import Aig
 from repro.formula.dqbf import Dqbf
+
+requires_numpy = pytest.mark.skipif(
+    not numpy_available(), reason="numpy backend not installed"
+)
+
+#: Inputs of the AIGs built by :func:`aig_scripts` / :func:`build_aig`.
+NUM_VARS = 6
 
 
 def random_clauses(rng: random.Random, num_vars: int, num_clauses: int, max_len: int = 3):
@@ -97,6 +106,40 @@ def random_qbf(rng: random.Random, max_vars: int = 6, max_clauses: int = 12):
         for _ in range(rng.randint(1, max_clauses))
     ]
     return Qbf.build(blocks, clauses)
+
+
+@st.composite
+def aig_scripts(draw):
+    """A deterministic AIG construction script over NUM_VARS inputs.
+
+    Each step combines two earlier edges (with random complement flags)
+    via AND; replaying the script on any backend yields the same node
+    numbering because construction order is identical.
+    """
+    num_steps = draw(st.integers(min_value=1, max_value=40))
+    steps = []
+    for index in range(num_steps):
+        choices = NUM_VARS + index  # edges available before this step
+        steps.append(
+            (
+                draw(st.integers(min_value=0, max_value=choices - 1)),
+                draw(st.integers(min_value=0, max_value=choices - 1)),
+                draw(st.booleans()),
+                draw(st.booleans()),
+            )
+        )
+    return steps
+
+
+def build_aig(script, backend):
+    """Replay an :func:`aig_scripts` script; returns ``(aig, last edge)``."""
+    aig = Aig(backend=backend)
+    edges = [aig.var(i) for i in range(1, NUM_VARS + 1)]
+    for left, right, complement_left, complement_right in script:
+        a = edges[left] ^ (1 if complement_left else 0)
+        b = edges[right] ^ (1 if complement_right else 0)
+        edges.append(aig.land(a, b))
+    return aig, edges[-1]
 
 
 @pytest.fixture

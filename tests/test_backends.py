@@ -18,12 +18,9 @@ from hypothesis import strategies as st
 
 from repro.aig import fraig
 from repro.aig.aiger import parse_aiger, write_aiger
-from repro.aig.backend import numpy_available
 from repro.aig.graph import Aig
 
-requires_numpy = pytest.mark.skipif(
-    not numpy_available(), reason="numpy backend not installed"
-)
+from conftest import NUM_VARS, aig_scripts, build_aig, requires_numpy
 
 # Counters whose deltas must match exactly across backends.  The masked
 # numpy kernels make the same share-vs-rebuild decisions as the python
@@ -36,41 +33,6 @@ TRAVERSAL_COUNTERS = (
     "strash_lookups",
     "strash_hits",
 )
-
-NUM_VARS = 6
-
-
-@st.composite
-def aig_scripts(draw):
-    """A deterministic AIG construction script over NUM_VARS inputs.
-
-    Each step combines two earlier edges (with random complement flags)
-    via AND; replaying the script on any backend yields the same node
-    numbering because construction order is identical.
-    """
-    num_steps = draw(st.integers(min_value=1, max_value=40))
-    steps = []
-    for index in range(num_steps):
-        choices = NUM_VARS + index  # edges available before this step
-        steps.append(
-            (
-                draw(st.integers(min_value=0, max_value=choices - 1)),
-                draw(st.integers(min_value=0, max_value=choices - 1)),
-                draw(st.booleans()),
-                draw(st.booleans()),
-            )
-        )
-    return steps
-
-
-def build(script, backend):
-    aig = Aig(backend=backend)
-    edges = [aig.var(i) for i in range(1, NUM_VARS + 1)]
-    for left, right, complement_left, complement_right in script:
-        a = edges[left] ^ (1 if complement_left else 0)
-        b = edges[right] ^ (1 if complement_right else 0)
-        edges.append(aig.land(a, b))
-    return aig, edges[-1]
 
 
 def truth_patterns():
@@ -91,8 +53,8 @@ class TestConstructionEquivalence:
     @settings(max_examples=60, deadline=None)
     @given(aig_scripts())
     def test_truth_tables_supports_levels(self, script):
-        aig_py, root_py = build(script, "python")
-        aig_np, root_np = build(script, "numpy")
+        aig_py, root_py = build_aig(script, "python")
+        aig_np, root_np = build_aig(script, "numpy")
         assert root_py == root_np
         assert aig_py.num_nodes == aig_np.num_nodes
         assert aig_py.cone_nodes(root_py) == aig_np.cone_nodes(root_np)
@@ -108,7 +70,7 @@ class TestConstructionEquivalence:
     def test_restrict_and_cofactor2_with_counters(self, script, var):
         results = {}
         for backend in ("python", "numpy"):
-            aig, root = build(script, backend)
+            aig, root = build_aig(script, backend)
             aig.counters.reset()
             restricted = aig.restrict(root, {var: True})
             cof0, cof1 = aig.cofactor2(root, var)
@@ -126,7 +88,7 @@ class TestConstructionEquivalence:
         dependents = [v for v in range(1, NUM_VARS + 1) if v != var][:3]
         results = {}
         for backend in ("python", "numpy"):
-            aig, root = build(script, backend)
+            aig, root = build_aig(script, backend)
             aig.counters.reset()
             fresh = iter(range(100, 200))
             cof0, cof1, copies = aig.eliminate_universal_fused(
@@ -149,7 +111,7 @@ class TestAigerRoundTrip:
         """AIGER out/in on the compacted array core preserves the function."""
         patterns, width = truth_patterns()
         for backend in ("python", "numpy"):
-            aig, root = build(script, backend)
+            aig, root = build_aig(script, backend)
             original = fraig.simulate(aig, root, dict(patterns), width)[root >> 1]
             if root & 1:
                 original ^= (1 << width) - 1

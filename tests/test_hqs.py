@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings
 
-from repro.core.hqs import HqsOptions, HqsSolver, solve_dqbf
+from repro.core.hqs import STAGE_TIMERS, HqsOptions, HqsSolver, solve_dqbf
 from repro.core.result import Limits, SAT, UNKNOWN, UNSAT
 from repro.formula.dqbf import Dqbf, expansion_solve
 
@@ -89,6 +89,29 @@ class TestStatistics:
         result = solver.solve(formula)
         assert result.stats.get("maxsat_pairs", 0) >= 1
         assert result.stats.get("selected_universals", 0) >= 1
+
+    def test_stage_timers_present_and_non_negative(self):
+        henkin = Dqbf.build(
+            [1, 2], [(3, [1]), (4, [2])],
+            [[3, 4, 1, 2], [-3, -4, -1], [3, -4, 2], [-3, 4, -2]],
+        )
+        trivial = Dqbf.build([1], [(2, [1])], [[2]])  # decided by preprocessing
+        for formula, options in (
+            (henkin, HqsOptions(use_sat_probe=True)),
+            (henkin, HqsOptions(use_preprocessing=False)),
+            (trivial, HqsOptions()),
+        ):
+            stats = HqsSolver(options).solve(formula.copy()).stats
+            for key in STAGE_TIMERS:
+                assert key in stats, f"missing {key}"
+                assert stats[key] >= 0.0
+        # Stages that never ran report exactly 0.0.
+        assert stats["time_aig_build"] == 0.0
+        assert stats["time_probe"] == 0.0
+        probed = HqsSolver(HqsOptions(use_sat_probe=True)).solve(henkin.copy()).stats
+        assert probed["time_preprocess"] > 0.0
+        assert probed["time_aig_build"] > 0.0
+        assert probed["time_probe"] > 0.0
 
 
 class TestLimits:

@@ -6,22 +6,37 @@ must compute exactly the functions of the naive ``cofactor``/``rename``
 chains they replace.  Equivalence is checked property-style with
 ``Aig.evaluate`` under random assignments, on random expression AIGs
 and on random DQBFs.
+
+The rebuild loops inline the strash step instead of calling
+``Aig.land`` per node.  ``TestInlinedStrashOracle`` keeps the per-node
+``land`` walks as a reference and pins what the inlining must not
+change: returned edges, node arrays, strash table and every counter.
 """
 
 import itertools
 import random
 
+import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.aig.cnf_bridge import cnf_to_aig
 from repro.aig.graph import FALSE, TRUE, Aig, complement
+from repro.aig.unitpure import find_units
 from repro.core.elimination import eliminate_universal
 from repro.core.hqs import HqsOptions, HqsSolver
 from repro.core.state import AigDqbf
 from repro.core.unitpure import UnitPureStats, apply_unit_pure
 from repro.formula.dqbf import Dqbf, expansion_solve
 
-from conftest import dqbf_strategy, random_dqbf
+from conftest import (
+    NUM_VARS,
+    aig_scripts,
+    build_aig,
+    dqbf_strategy,
+    random_dqbf,
+    requires_numpy,
+)
 
 
 def random_edge(aig: Aig, rng: random.Random, variables, depth: int) -> int:
@@ -338,3 +353,334 @@ class TestMetadataCache:
         assert state.matrix_size() == state.aig.cone_size(state.root)
         state.root = TRUE
         assert state.matrix_size() == 0
+
+
+# ---------------------------------------------------------------------------
+# Reference walks: the per-node ``Aig.land`` loops that the inlined rebuild
+# kernels replaced.  The share test is the python backend's support-set test
+# or the numpy backend's dependency mask, read exactly as before, so the
+# support-cache counters are pinned too.
+# ---------------------------------------------------------------------------
+
+
+def ref_cone_nodes(aig, root):
+    seen = set()
+    order = []
+    stack = [root >> 1]
+    while stack:
+        node = stack.pop()
+        if node in seen:
+            continue
+        if aig.is_and(node):
+            f0, f1 = aig.fanins(node)
+            pending = [n for n in (f0 >> 1, f1 >> 1) if n not in seen]
+            if pending:
+                stack.append(node)
+                stack.extend(pending)
+                continue
+        seen.add(node)
+        order.append(node)
+    return order
+
+
+def ref_rebuild(aig, roots, leaf_map, target=None):
+    target = target if target is not None else aig
+    aig.counters.rebuild_passes += 1
+    cache = {0: FALSE}
+    for root in roots:
+        for node in ref_cone_nodes(aig, root):
+            if node in cache:
+                continue
+            aig.counters.nodes_visited += 1
+            if aig.is_input(node):
+                label = aig.input_label(node)
+                cache[node] = leaf_map[label] if label in leaf_map else target.var(label)
+            else:
+                f0, f1 = aig.fanins(node)
+                cache[node] = target.land(
+                    cache[f0 >> 1] ^ (f0 & 1), cache[f1 >> 1] ^ (f1 & 1)
+                )
+    return [cache[r >> 1] ^ (r & 1) for r in roots]
+
+
+def ref_extract(aig, roots):
+    fresh = Aig(backend=aig.backend)
+    fresh.counters = aig.counters
+    fresh.cache_generation = aig.cache_generation + 1
+    return fresh, ref_rebuild(aig, roots, {}, target=fresh)
+
+
+def ref_shared(aig, labels):
+    """``shared(node)``: the cone of ``node`` misses every label."""
+    if aig.backend == "numpy":
+        depends = aig._np.depends_mask(labels)
+        return lambda node: not depends[node]
+    labels = frozenset(labels)
+    return lambda node: aig.support_of(node << 1).isdisjoint(labels)
+
+
+def ref_restrict(aig, root, assignment):
+    if root < 2 or not assignment:
+        return root
+    shared = ref_shared(aig, frozenset(assignment))
+    if shared(root >> 1):
+        return root
+    counters = aig.counters
+    counters.fused_passes += 1
+    cache = {0: FALSE}
+    stack = [root >> 1]
+    while stack:
+        node = stack[-1]
+        if node in cache:
+            stack.pop()
+            continue
+        if shared(node):
+            cache[node] = node << 1
+            counters.nodes_shared += 1
+            stack.pop()
+            continue
+        if aig.is_input(node):
+            cache[node] = TRUE if assignment[aig.input_label(node)] else FALSE
+            counters.nodes_visited += 1
+            stack.pop()
+            continue
+        f0, f1 = aig.fanins(node)
+        r0, r1 = cache.get(f0 >> 1), cache.get(f1 >> 1)
+        if r0 is None or r1 is None:
+            if r0 is None:
+                stack.append(f0 >> 1)
+            if r1 is None:
+                stack.append(f1 >> 1)
+            continue
+        cache[node] = aig.land(r0 ^ (f0 & 1), r1 ^ (f1 & 1))
+        counters.nodes_visited += 1
+        stack.pop()
+    return cache[root >> 1] ^ (root & 1)
+
+
+def ref_cofactor2(aig, root, var):
+    if root < 2:
+        return root, root
+    shared = ref_shared(aig, (var,))
+    if shared(root >> 1):
+        return root, root
+    counters = aig.counters
+    counters.fused_passes += 1
+    cache = {0: (FALSE, FALSE)}
+    stack = [root >> 1]
+    while stack:
+        node = stack[-1]
+        if node in cache:
+            stack.pop()
+            continue
+        if shared(node):
+            cache[node] = (node << 1, node << 1)
+            counters.nodes_shared += 1
+            stack.pop()
+            continue
+        if aig.is_input(node):
+            cache[node] = (FALSE, TRUE)
+            counters.nodes_visited += 1
+            stack.pop()
+            continue
+        f0, f1 = aig.fanins(node)
+        p0, p1 = cache.get(f0 >> 1), cache.get(f1 >> 1)
+        if p0 is None or p1 is None:
+            if p0 is None:
+                stack.append(f0 >> 1)
+            if p1 is None:
+                stack.append(f1 >> 1)
+            continue
+        c0, c1 = f0 & 1, f1 & 1
+        cache[node] = (
+            aig.land(p0[0] ^ c0, p1[0] ^ c1),
+            aig.land(p0[1] ^ c0, p1[1] ^ c1),
+        )
+        counters.nodes_visited += 1
+        stack.pop()
+    e0, e1 = cache[root >> 1]
+    return e0 ^ (root & 1), e1 ^ (root & 1)
+
+
+def ref_eliminate(aig, root, var, dependents, fresh):
+    dependents = frozenset(dependents)
+    if root < 2:
+        return root, root, {}
+    if aig.backend == "numpy":
+        dep_var, dep_rel = aig._np.depends_mask2(var, dependents)
+
+        def classify(node):
+            return dep_rel[node], dep_var[node]
+
+    else:
+        relevant = dependents | {var}
+
+        def classify(node):
+            support = aig.support_of(node << 1)
+            return not support.isdisjoint(relevant), var in support
+
+    if not classify(root >> 1)[1]:
+        return root, root, {}
+    counters = aig.counters
+    counters.fused_passes += 1
+    copies = {}
+    cache = {0: (FALSE, FALSE)}
+    stack = [root >> 1]
+    while stack:
+        node = stack[-1]
+        if node in cache:
+            stack.pop()
+            continue
+        touches_rel, touches_var = classify(node)
+        if not touches_rel:
+            cache[node] = (node << 1, node << 1)
+            counters.nodes_shared += 1
+            stack.pop()
+            continue
+        if aig.is_input(node):
+            label = aig.input_label(node)
+            if label == var:
+                cache[node] = (FALSE, TRUE)
+            else:
+                if label not in copies:
+                    copies[label] = fresh()
+                cache[node] = (node << 1, aig.var(copies[label]))
+            counters.nodes_visited += 1
+            stack.pop()
+            continue
+        f0, f1 = aig.fanins(node)
+        p0, p1 = cache.get(f0 >> 1), cache.get(f1 >> 1)
+        if p0 is None or p1 is None:
+            if p0 is None:
+                stack.append(f0 >> 1)
+            if p1 is None:
+                stack.append(f1 >> 1)
+            continue
+        c0, c1 = f0 & 1, f1 & 1
+        if touches_var:
+            e0 = aig.land(p0[0] ^ c0, p1[0] ^ c1)
+        else:
+            e0 = node << 1
+            counters.nodes_shared += 1
+        cache[node] = (e0, aig.land(p0[1] ^ c0, p1[1] ^ c1))
+        counters.nodes_visited += 1
+        stack.pop()
+    e0, e1 = cache[root >> 1]
+    cofactor0, cofactor1 = e0 ^ (root & 1), e1 ^ (root & 1)
+    if copies:
+        if cofactor1 < 2:
+            survivors = frozenset()
+        elif aig.backend == "numpy":
+            survivors = aig._np.cone_support(cofactor1 >> 1)
+        else:
+            survivors = aig.support_of(cofactor1)
+        copies = {y: y2 for y, y2 in copies.items() if y2 in survivors}
+    return cofactor0, cofactor1, copies
+
+
+def ref_find_units(aig, root):
+    units = {}
+    if root in (TRUE, FALSE):
+        return units
+    node = root >> 1
+    if root & 1:
+        if aig.is_input(node):
+            units[aig.input_label(node)] = False
+        return units
+    stack = [node]
+    seen = set()
+    while stack:
+        node = stack.pop()
+        if node in seen:
+            continue
+        seen.add(node)
+        if aig.is_input(node):
+            units[aig.input_label(node)] = True
+            continue
+        if not aig.is_and(node):
+            continue
+        for fanin in aig.fanins(node):
+            child = fanin >> 1
+            if fanin & 1:
+                if aig.is_input(child):
+                    units[aig.input_label(child)] = False
+            else:
+                stack.append(child)
+    return units
+
+
+INLINED = {
+    "cone_nodes": Aig.cone_nodes,
+    "rebuild": Aig.rebuild,
+    "extract": Aig.extract,
+    "restrict": Aig.restrict,
+    "cofactor2": Aig.cofactor2,
+    "eliminate": Aig.eliminate_universal_fused,
+    "find_units": find_units,
+}
+REFERENCE = {
+    "cone_nodes": ref_cone_nodes,
+    "rebuild": ref_rebuild,
+    "extract": ref_extract,
+    "restrict": ref_restrict,
+    "cofactor2": ref_cofactor2,
+    "eliminate": ref_eliminate,
+    "find_units": ref_find_units,
+}
+
+
+def node_state(aig):
+    """Everything the inlined kernels may touch, compared verbatim."""
+    return (
+        list(aig._fanin0),
+        list(aig._fanin1),
+        list(aig._level),
+        list(aig._input_label),
+        dict(aig._strash),
+        aig.counters.as_dict(),
+    )
+
+
+def kernel_trail(kernels, backend, script, var, other):
+    """Run one op sequence; record every result and the state after it."""
+    aig, root = build_aig(script, backend)
+    fresh = iter(range(100, 200))
+    dependents = [v for v in range(1, NUM_VARS + 1) if v != var][:3]
+    trail = []
+
+    def record(result, manager=aig):
+        trail.append((result, node_state(manager)))
+        return result
+
+    record(kernels["cone_nodes"](aig, root))
+    restricted = record(kernels["restrict"](aig, root, {var: True, other: False}))
+    cof0, cof1 = record(kernels["cofactor2"](aig, root, var))
+    elim0, elim1, _copies = record(
+        kernels["eliminate"](aig, root, var, dependents, lambda: next(fresh))
+    )
+    record(kernels["cofactor2"](aig, elim1, other))
+    record(kernels["rebuild"](aig, [root, cof1], {var: aig.var(other) ^ 1}))
+    for edge in (root, restricted, cof0, cof1, elim0, elim1):
+        record(kernels["find_units"](aig, edge))
+    compact, roots = kernels["extract"](aig, [root, cof0, elim1])
+    record(roots, compact)
+    record(kernels["cofactor2"](compact, roots[0], var), compact)
+    return trail
+
+
+class TestInlinedStrashOracle:
+    @pytest.mark.parametrize(
+        "backend", ["python", pytest.param("numpy", marks=requires_numpy)]
+    )
+    @settings(max_examples=60, deadline=None)
+    @given(
+        script=aig_scripts(),
+        var=st.integers(min_value=1, max_value=NUM_VARS),
+        other=st.integers(min_value=1, max_value=NUM_VARS),
+    )
+    def test_same_edges_nodes_strash_and_counters(self, backend, script, var, other):
+        inlined = kernel_trail(INLINED, backend, script, var, other)
+        reference = kernel_trail(REFERENCE, backend, script, var, other)
+        assert len(inlined) == len(reference)
+        for step, (got, want) in enumerate(zip(inlined, reference)):
+            assert got == want, f"step {step} diverged from the land-based walk"
