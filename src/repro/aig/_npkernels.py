@@ -67,6 +67,8 @@ class NumpyKernels:
         self._f0n = self._f1n = None  # fanin node ids (edges >> 1)
         self._groups_n = -1  # node count the cached level groups refer to
         self._groups: List = []
+        self._cone_key = (-1, -1)  # (node, node count) of the memoized mask
+        self._cone = None
 
     # ------------------------------------------------------------------
     # array mirror
@@ -133,9 +135,15 @@ class NumpyKernels:
         from above has been scattered.  Each group is filtered to its
         marked members first, so work stays proportional to the cone
         (plus one boolean gather per group).
+
+        The last mask is memoized on ``(node, node count)``, exact
+        because nodes are append-only; it is returned read-only, so a
+        caller must copy before mutating.
         """
         np = self._np
         n = self.sync()
+        if self._cone_key == (node, n):
+            return self._cone
         mask = np.zeros(n, dtype=bool)
         mask[node] = True
         node_level = int(self._level[node])
@@ -147,6 +155,9 @@ class NumpyKernels:
             if ids.size:
                 mask[f0n[ids]] = True
                 mask[f1n[ids]] = True
+        mask.flags.writeable = False
+        self._cone_key = (node, n)
+        self._cone = mask
         return mask
 
     def cone_support(self, node: int) -> frozenset:

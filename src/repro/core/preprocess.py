@@ -145,7 +145,7 @@ def _simplify_to_fixpoint(
 
         strengthened = False
         if use_subsumption:
-            strengthened = _subsumption(work, stats)
+            strengthened = _subsumption(work, stats, guard)
 
         if work.matrix.has_empty_clause():
             return False
@@ -283,8 +283,10 @@ def _apply_equivalence(work: Dqbf, lit_a: int, lit_b: int, stats: PreprocessStat
     return True
 
 
-def _subsumption(work: Dqbf, stats: PreprocessStats) -> bool:
-    """Subsumption and self-subsuming resolution.
+def _subsumption(
+    work: Dqbf, stats: PreprocessStats, guard: Optional[ResourceGuard] = None
+) -> bool:
+    """Subsumption and self-subsuming resolution on occurrence lists.
 
     Both are matrix-equivalence-preserving and therefore sound for DQBF:
 
@@ -292,46 +294,65 @@ def _subsumption(work: Dqbf, stats: PreprocessStats) -> bool:
     * if ``D \\ {-l}`` is a subset of ``C \\ {l}``, resolving ``C`` with
       ``D`` on ``l`` yields a subset of ``C``, so ``l`` can be removed
       from ``C`` ("strengthening").
+
+    Candidates come from occurrence lists (Een & Biere, SAT 2005), so
+    neither sweep compares all pairs of clauses; the result is the one
+    the pairwise sweeps give.  ``guard`` is checked once per clause in
+    each sweep.
     """
+    guard = ResourceGuard.ensure(guard)
+    check = guard.check
     clauses = [frozenset(c) for c in work.matrix]
     changed = False
 
-    # subsumption: shorter clauses first so survivors are minimal
+    # subsumption: shorter clauses first so survivors are minimal.  Each
+    # kept clause is listed under its rarest literal; a subsuming kept
+    # clause is a subset, so it is listed under some literal of the
+    # clause it subsumes.  An empty kept clause subsumes everything.
+    counts = work.matrix.literal_occurrences()
     clauses.sort(key=len)
     kept: List[frozenset] = []
+    listed: Dict[int, List[frozenset]] = {}
+    kept_empty = False
     for clause in clauses:
-        if any(other <= clause for other in kept if len(other) <= len(clause)):
+        check()
+        if kept_empty or any(
+            other <= clause for lit in clause for other in listed.get(lit, ())
+        ):
             stats.clauses_subsumed += 1
             changed = True
             continue
         kept.append(clause)
+        if clause:
+            listed.setdefault(min(clause, key=counts.__getitem__), []).append(clause)
+        else:
+            kept_empty = True
 
-    # self-subsuming resolution (one sweep)
-    strengthened: List[frozenset] = list(kept)
-    by_index = {i: c for i, c in enumerate(strengthened)}
-    for i, clause in list(by_index.items()):
+    # self-subsuming resolution (one sweep).  Clauses only shrink, so the
+    # occurrence lists built up front stay supersets of the live ones.
+    occurs: Dict[int, List[int]] = {}
+    for i, clause in enumerate(kept):
+        for lit in clause:
+            occurs.setdefault(lit, []).append(i)
+    live = list(kept)
+    for i, clause in enumerate(kept):
+        check()
         for lit in list(clause):
-            if lit not in clause:
-                continue  # removed by an earlier strengthening step
             rest = clause - {lit}
-            for j, other in by_index.items():
-                if j == i:
-                    continue
-                if -lit in other and (other - {-lit}) <= rest:
-                    by_index[i] = rest
-                    clause = rest
+            # given -lit in other: other - {-lit} <= rest iff other <= rest | {-lit}.
+            # Clause i is not listed under -lit: the matrix has no tautologies.
+            resolvable = rest | {-lit}
+            for j in occurs.get(-lit, ()):
+                other = live[j]
+                if -lit in other and other <= resolvable:
+                    live[i] = clause = rest
                     stats.literals_strengthened += 1
                     changed = True
                     break
-            else:
-                continue
-            # literal removed: restart literal loop on the shrunk clause
-            if not clause:
-                break
 
     if changed:
         rebuilt = Cnf(num_vars=work.matrix.num_vars)
-        for clause in by_index.values():
+        for clause in live:
             rebuilt.add_clause(sorted(clause))
         work.matrix = rebuilt
     return changed

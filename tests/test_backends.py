@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from repro.aig import fraig
 from repro.aig.aiger import parse_aiger, write_aiger
-from repro.aig.graph import Aig
+from repro.aig.graph import Aig, complement
 
 from conftest import NUM_VARS, aig_scripts, build_aig, requires_numpy
 
@@ -155,3 +155,45 @@ class TestPartialPatternSimulation:
         words_py = fraig.simulate(aig_py, root_py, {3: 0b0110}, width=4, seed=7)
         words_np = fraig.simulate(aig_np, root_np, {3: 0b0110}, width=4, seed=7)
         assert words_py == words_np
+
+
+@requires_numpy
+class TestConeMaskMemo:
+    """``NumpyKernels.cone_mask`` memoizes the last mask on (node, count)."""
+
+    @staticmethod
+    def _fresh_mask(aig, node):
+        expected = [False] * aig.num_nodes
+        for member in aig.cone_nodes(node << 1):
+            expected[member] = True
+        return expected
+
+    def test_repeat_calls_share_one_read_only_mask(self):
+        aig = Aig(backend="numpy")
+        a, b, c = aig.var(1), aig.var(2), aig.var(3)
+        root = aig.land(aig.land(a, b), complement(c))
+        kernels = aig._np
+        first = kernels.cone_mask(root >> 1)
+        again = kernels.cone_mask(root >> 1)
+        assert again is first
+        assert first.tolist() == self._fresh_mask(aig, root >> 1)
+        with pytest.raises(ValueError):
+            first[0] = True
+        other = kernels.cone_mask(a >> 1)
+        assert other.tolist() == self._fresh_mask(aig, a >> 1)
+        back = kernels.cone_mask(root >> 1)
+        assert back is not first
+        assert back.tolist() == first.tolist()
+
+    def test_recomputed_after_nodes_are_appended(self):
+        aig = Aig(backend="numpy")
+        a, b = aig.var(1), aig.var(2)
+        root = aig.land(a, b)
+        kernels = aig._np
+        before = kernels.cone_mask(root >> 1)
+        aig.land(aig.var(3), root)
+        after = kernels.cone_mask(root >> 1)
+        assert after is not before
+        assert after.size == aig.num_nodes > before.size
+        assert after.tolist() == self._fresh_mask(aig, root >> 1)
+        assert aig.cone_size(root) == 1
