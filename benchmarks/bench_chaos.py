@@ -61,7 +61,7 @@ from repro import faults
 from repro.core.checkpoint import formula_fingerprint
 from repro.core.hqs import HqsOptions, HqsSolver
 from repro.core.result import Limits, SAT, UNSAT
-from repro.experiments.parallel import ResultLog
+from repro.durable import ResultLog
 from repro.faults import FaultPlan
 from repro.formula.dqdimacs import parse_dqdimacs, write_dqdimacs
 from repro.pec.families import make_comp

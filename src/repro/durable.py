@@ -19,7 +19,9 @@ JSONL records (result logs)
     each line becomes ``<payload> #crc32:<hex8>\\n`` — the checksum
     trails the record so a torn append is missing (or corrupts) its
     own suffix and the line fails verification instead of loading as
-    a shorter-but-valid JSON document.
+    a shorter-but-valid JSON document.  :class:`ResultLog` is the
+    fsynced append-only log built on it, shared by the benchmark
+    runner and ``hqs-serve``.
 
 Both framings are backward compatible: files/lines without the marker
 are treated as *legacy* (pre-framing) content so existing cache
@@ -37,9 +39,10 @@ the Nth write of a given artifact kind.
 
 from __future__ import annotations
 
+import json
 import os
 import zlib
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from . import faults
 
@@ -177,6 +180,116 @@ def unframe_line(line: str) -> Tuple[str, str]:
     if len(suffix) != 8 or _crc(payload.encode("utf-8")) != suffix:
         return payload, "corrupt"
     return payload, "ok"
+
+
+# ----------------------------------------------------------------------
+# JSONL result log
+# ----------------------------------------------------------------------
+
+class ResultLog:
+    """Append-only JSONL store of run records, keyed by (instance, solver).
+
+    Designed for crash-resume: records are flushed line-by-line as they
+    complete, each line carries a trailing CRC-32 (see
+    :func:`frame_line`) so a torn append is *detected* rather than
+    loaded as a shorter-but-valid record, and re-running with
+    ``resume=True`` skips pairs that already have a verified record.
+    Legacy lines without a checksum still load.  :meth:`load` counts
+    what it had to discard in :attr:`corrupt_lines` — zero on a healthy
+    log — so lost records are observable instead of silently re-run.
+
+    Torn tails are *isolated*: a record is only appended after the
+    writer makes sure the file currently ends in a newline (checking
+    the tail byte when it opens an existing file, tracking its own
+    writes afterwards).  A torn append therefore corrupts exactly one
+    record — its own — instead of gluing itself to the next good one.
+    """
+
+    def __init__(self, path: str):
+        self.path = path
+        self._handle = None
+        self._tail_dirty = False
+        #: Lines discarded by the last :meth:`load` (checksum mismatch,
+        #: torn tail, unparsable JSON, missing key fields).
+        self.corrupt_lines = 0
+
+    def load(self) -> Dict[Tuple[str, str], Dict[str, object]]:
+        done: Dict[Tuple[str, str], Dict[str, object]] = {}
+        self.corrupt_lines = 0
+        if not os.path.exists(self.path):
+            return done
+        with open(self.path, "r", encoding="utf-8") as handle:
+            for line in handle:
+                line = line.strip()
+                if not line:
+                    continue
+                payload, verdict = unframe_line(line)
+                if verdict == "corrupt":
+                    self.corrupt_lines += 1
+                    continue  # detected torn/corrupt record: re-run the pair
+                try:
+                    entry = json.loads(payload)
+                    key = (str(entry["instance"]), str(entry["solver"]))
+                    entry["status"]  # noqa: B018 - validate required field
+                except (ValueError, KeyError, TypeError):
+                    self.corrupt_lines += 1
+                    continue  # truncated/corrupt legacy line: re-run that pair
+                done[key] = entry
+        return done
+
+    def append(self, entry: Dict[str, object]) -> None:
+        """Durably append one checksummed record: write, flush *and* fsync.
+
+        ``--resume`` treats the log as the ground truth of which pairs
+        already ran; a record that was reported but lost to the page
+        cache in a hard kill would be silently re-run (and a reader of
+        the live log could act on a result that then vanishes).  The
+        fsync makes append-then-crash leave exactly the acknowledged
+        records behind, never a replayed or half-written one — and the
+        per-line CRC makes the half-written case detectable when the
+        crash wins anyway.  The write is a :mod:`repro.faults` site
+        (``log.append``): a ``torn`` fault flushes only a prefix of the
+        line, an ``ioerror`` fault raises :class:`OSError`.
+        """
+        if self._handle is None:
+            self._open()
+        line = frame_line(json.dumps(entry, sort_keys=True))
+        fault = faults.fire("log.append")
+        if fault is not None and fault.kind == "ioerror":
+            raise OSError(f"injected ioerror at log.append ({fault.spec()})")
+        if fault is not None and fault.kind == "torn":
+            line = line[: max(1, int(len(line) * fault.args.get("keep", 0.5)))]
+        if self._tail_dirty:
+            # Fence off the torn tail so this record starts its own line.
+            self._handle.write("\n")
+        self._handle.write(line)
+        self._tail_dirty = not line.endswith("\n")
+        self._handle.flush()
+        os.fsync(self._handle.fileno())
+
+    def _open(self) -> None:
+        """Open for append, noting whether the existing tail is torn."""
+        self._tail_dirty = False
+        try:
+            with open(self.path, "rb") as probe:
+                probe.seek(-1, os.SEEK_END)
+                self._tail_dirty = probe.read(1) != b"\n"
+        except (OSError, ValueError):  # missing or empty file
+            pass
+        # Every line written through this handle is CRC-framed and
+        # fsynced by append().
+        self._handle = open(self.path, "a", encoding="utf-8")
+
+    def close(self) -> None:
+        if self._handle is not None:
+            self._handle.close()
+            self._handle = None
+
+    def __enter__(self) -> "ResultLog":
+        return self
+
+    def __exit__(self, *_exc) -> None:
+        self.close()
 
 
 # ----------------------------------------------------------------------

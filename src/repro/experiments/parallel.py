@@ -41,14 +41,13 @@ uses a process-stable family hash.
 
 from __future__ import annotations
 
-import json
-import os
 import time
 import traceback
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .. import durable, faults
+from .. import faults
 from ..core.result import ERROR, MEMOUT, MISMATCH, TIMEOUT, UNKNOWN, Limits, SolveResult
+from ..durable import ResultLog  # re-exported as part of this module's API
 from ..pec.encode import PecInstance
 from ..pec.families import FAMILIES
 from ..proc import close_foreign_sockets, default_grace, mp_context, reap
@@ -199,116 +198,6 @@ class _Job:
             "runtime": elapsed,
             "stats": {"hard_timeout": 1.0},
         }
-
-
-# ----------------------------------------------------------------------
-# JSONL persistence
-# ----------------------------------------------------------------------
-
-class ResultLog:
-    """Append-only JSONL store of run records, keyed by (instance, solver).
-
-    Designed for crash-resume: records are flushed line-by-line as they
-    complete, each line carries a trailing CRC-32 (see
-    :mod:`repro.durable`) so a torn append is *detected* rather than
-    loaded as a shorter-but-valid record, and re-running with
-    ``resume=True`` skips pairs that already have a verified record.
-    Legacy lines without a checksum still load.  :meth:`load` counts
-    what it had to discard in :attr:`corrupt_lines` — zero on a healthy
-    log — so lost records are observable instead of silently re-run.
-
-    Torn tails are *isolated*: a record is only appended after the
-    writer makes sure the file currently ends in a newline (checking
-    the tail byte when it opens an existing file, tracking its own
-    writes afterwards).  A torn append therefore corrupts exactly one
-    record — its own — instead of gluing itself to the next good one.
-    """
-
-    def __init__(self, path: str):
-        self.path = path
-        self._handle = None
-        self._tail_dirty = False
-        #: Lines discarded by the last :meth:`load` (checksum mismatch,
-        #: torn tail, unparsable JSON, missing key fields).
-        self.corrupt_lines = 0
-
-    def load(self) -> Dict[Tuple[str, str], Dict[str, object]]:
-        done: Dict[Tuple[str, str], Dict[str, object]] = {}
-        self.corrupt_lines = 0
-        if not os.path.exists(self.path):
-            return done
-        with open(self.path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                payload, verdict = durable.unframe_line(line)
-                if verdict == "corrupt":
-                    self.corrupt_lines += 1
-                    continue  # detected torn/corrupt record: re-run the pair
-                try:
-                    entry = json.loads(payload)
-                    key = (str(entry["instance"]), str(entry["solver"]))
-                    entry["status"]  # noqa: B018 - validate required field
-                except (ValueError, KeyError, TypeError):
-                    self.corrupt_lines += 1
-                    continue  # truncated/corrupt legacy line: re-run that pair
-                done[key] = entry
-        return done
-
-    def append(self, entry: Dict[str, object]) -> None:
-        """Durably append one checksummed record: write, flush *and* fsync.
-
-        ``--resume`` treats the log as the ground truth of which pairs
-        already ran; a record that was reported but lost to the page
-        cache in a hard kill would be silently re-run (and a reader of
-        the live log could act on a result that then vanishes).  The
-        fsync makes append-then-crash leave exactly the acknowledged
-        records behind, never a replayed or half-written one — and the
-        per-line CRC makes the half-written case detectable when the
-        crash wins anyway.  The write is a :mod:`repro.faults` site
-        (``log.append``): a ``torn`` fault flushes only a prefix of the
-        line, an ``ioerror`` fault raises :class:`OSError`.
-        """
-        if self._handle is None:
-            self._open()
-        line = durable.frame_line(json.dumps(entry, sort_keys=True))
-        fault = faults.fire("log.append")
-        if fault is not None and fault.kind == "ioerror":
-            raise OSError(f"injected ioerror at log.append ({fault.spec()})")
-        if fault is not None and fault.kind == "torn":
-            line = line[: max(1, int(len(line) * fault.args.get("keep", 0.5)))]
-        if self._tail_dirty:
-            # Fence off the torn tail so this record starts its own line.
-            self._handle.write("\n")
-        self._handle.write(line)
-        self._tail_dirty = not line.endswith("\n")
-        self._handle.flush()
-        os.fsync(self._handle.fileno())
-
-    def _open(self) -> None:
-        """Open for append, noting whether the existing tail is torn."""
-        self._tail_dirty = False
-        try:
-            with open(self.path, "rb") as probe:
-                probe.seek(-1, os.SEEK_END)
-                self._tail_dirty = probe.read(1) != b"\n"
-        except (OSError, ValueError):  # missing or empty file
-            pass
-        # This *is* the durable framing layer: every line written through
-        # this handle is CRC-framed and fsynced by append().
-        self._handle = open(self.path, "a", encoding="utf-8")  # hqs-lint: disable=RPR004
-
-    def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
-
-    def __enter__(self) -> "ResultLog":
-        return self
-
-    def __exit__(self, *_exc) -> None:
-        self.close()
 
 
 def record_to_entry(record: RunRecord) -> Dict[str, object]:

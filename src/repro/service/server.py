@@ -3,10 +3,11 @@
 One process runs three layers:
 
 * :class:`SolverService` — transport-independent request handling:
-  fingerprint computation, result-cache lookup, **in-flight
-  deduplication** (concurrent identical requests attach to one solve),
-  dispatch to the :class:`~repro.service.pool.WorkerPool` through an
-  executor, result logging;
+  fingerprint computation (memoized per exact formula text),
+  result-cache lookup, **in-flight deduplication** (concurrent
+  identical requests attach to one solve), dispatch to the
+  :class:`~repro.service.pool.WorkerPool` through an executor, result
+  logging;
 * :class:`ServiceServer` — the TCP listener speaking the
   newline-delimited JSON protocol, plus an optional minimal HTTP/1.1
   front end (``POST /solve``, ``GET /stats``, ``GET /ping``,
@@ -29,18 +30,20 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import hashlib
 import json
 import signal
 import sys
 import threading
 import time
 import traceback
+from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, Optional, Sequence
 
 from .. import faults
 from ..core.checkpoint import formula_fingerprint
-from ..experiments.parallel import ResultLog
+from ..durable import ResultLog
 from ..formula.dqdimacs import DqdimacsError, parse_dqdimacs
 from .cache import ResultCache
 from .pool import WorkerPool
@@ -122,6 +125,13 @@ class SolverService:
         #: bounded by ``config.max_pending`` — the backpressure valve.
         self._pending = 0
         self._inflight: Dict[str, asyncio.Future] = {}
+        #: Admission memo: BLAKE2b of the exact formula text -> the
+        #: fingerprint its parse + validate + canonical hash produced.
+        #: Only successful admissions are stored; an LRU bounded by
+        #: ``cache_capacity``, touched only on the event loop.
+        self._admitted: "OrderedDict[bytes, str]" = OrderedDict()
+        self.parses = 0
+        self.memo_hits = 0
         # One executor slot per worker: a request beyond pool capacity
         # queues here instead of stacking threads.
         self._executor = ThreadPoolExecutor(
@@ -165,13 +175,28 @@ class SolverService:
 
     # ------------------------------------------------------------------
     async def _solve(self, message: Dict[str, object]) -> Dict[str, object]:
-        try:
-            formula = parse_dqdimacs(str(message["formula"]))
-            formula.validate()
-        except (DqdimacsError, ValueError) as exc:
-            self.errors += 1
-            return error_response(message, f"bad formula: {exc}")
-        fingerprint = formula_fingerprint(formula)
+        text = str(message["formula"])
+        # Same bytes, same fingerprint: a repeat skips the parse and the
+        # canonical hash.  surrogatepass keeps a lone surrogate (legal
+        # in JSON) on the parser's "bad formula" path.
+        digest = hashlib.blake2b(text.encode("utf-8", "surrogatepass"),
+                                 digest_size=32).digest()
+        fingerprint = self._admitted.get(digest)
+        if fingerprint is not None:
+            self._admitted.move_to_end(digest)
+            self.memo_hits += 1
+        else:
+            self.parses += 1
+            try:
+                formula = parse_dqdimacs(text)
+                formula.validate()
+            except (DqdimacsError, ValueError) as exc:
+                self.errors += 1
+                return error_response(message, f"bad formula: {exc}")
+            fingerprint = formula_fingerprint(formula)
+            self._admitted[digest] = fingerprint
+            if len(self._admitted) > self.config.cache_capacity:
+                self._admitted.popitem(last=False)
 
         if not message.get("no_cache"):
             cached = self.cache.lookup(fingerprint)
@@ -308,6 +333,11 @@ class SolverService:
             "pending": self._pending,
             "max_pending": self.config.max_pending,
             "busy_rejections": self.busy_rejections,
+            "admission": {
+                "parses": self.parses,
+                "memo_hits": self.memo_hits,
+                "memo_entries": len(self._admitted),
+            },
             "cache": self.cache.stats.as_dict(),
             "cache_entries": len(self.cache),
             "pool": self.pool.stats(),
@@ -401,17 +431,8 @@ class ServiceServer:
                     self.service.errors += 1
                     message, response = {}, error_response({}, str(exc))
                 except Exception as exc:  # solver-side surprise: keep serving
-                    # The client gets a terse error; the operator gets
-                    # the full traceback — a swallowed one here is the
-                    # only evidence when a worker wedges a request.
-                    print(
-                        f"c internal error serving request: {exc!r}\n"
-                        f"{traceback.format_exc()}",
-                        file=sys.stderr,
-                    )
-                    self.service.errors += 1
-                    message, response = {}, error_response(
-                        {}, f"internal error: {exc!r}")
+                    message, response = {}, self._internal_error(
+                        exc, traceback.format_exc())
                 encoded = encode_message(response)
                 fault = faults.fire("server.send")
                 if fault is not None and fault.kind == "slow":
@@ -465,6 +486,8 @@ class ServiceServer:
                     try:
                         length = int(value.strip())
                     except ValueError:
+                        length = -1
+                    if length < 0:
                         return await self._http_reply(
                             writer, 400, {"error": "bad content-length"})
             if length > MAX_LINE_BYTES:
@@ -502,6 +525,12 @@ class ServiceServer:
         except (asyncio.IncompleteReadError, ConnectionResetError,
                 BrokenPipeError):
             pass
+        except Exception as exc:  # solver-side surprise: a 500, not a dropped socket
+            response = self._internal_error(exc, traceback.format_exc())
+            try:
+                await self._http_reply(writer, 500, response)
+            except (ConnectionResetError, BrokenPipeError):
+                pass
         finally:
             writer.close()
             try:
@@ -510,11 +539,22 @@ class ServiceServer:
                     asyncio.CancelledError):  # pragma: no cover
                 pass
 
+    def _internal_error(self, exc: Exception, trace: str) -> Dict[str, object]:
+        """Count an unexpected failure and build its terse client reply.
+
+        The operator gets the full traceback on stderr — a swallowed one
+        is the only evidence when a worker wedges a request.
+        """
+        print(f"c internal error serving request: {exc!r}\n{trace}",
+              file=sys.stderr)
+        self.service.errors += 1
+        return error_response({}, f"internal error: {exc!r}")
+
     async def _http_reply(self, writer: asyncio.StreamWriter, code: int,
                           payload: Dict[str, object]) -> None:
         body = json.dumps(payload).encode("utf-8")
         reason = {200: "OK", 400: "Bad Request", 404: "Not Found",
-                  413: "Payload Too Large",
+                  413: "Payload Too Large", 500: "Internal Server Error",
                   503: "Service Unavailable"}.get(code, "Error")
         writer.write(
             f"HTTP/1.1 {code} {reason}\r\n"
@@ -625,7 +665,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--workers", type=int, default=2,
                         help="warm worker processes (default 2)")
     parser.add_argument("--cache-capacity", type=int, default=1024,
-                        help="in-memory result cache entries (default 1024)")
+                        help="in-memory result cache entries, also the bound "
+                             "of the admission memo (default 1024)")
     parser.add_argument("--cache-dir", default=None, metavar="DIR",
                         help="on-disk cache tier: results + resume checkpoints")
     parser.add_argument("--log", default=None, metavar="PATH",

@@ -28,7 +28,7 @@ import pytest
 
 from repro import faults
 from repro.core.result import ERROR, TIMEOUT, UNKNOWN, UNSAT
-from repro.experiments.parallel import ResultLog
+from repro.durable import ResultLog
 from repro.faults import FaultPlan
 from repro.formula.dqdimacs import write_dqdimacs
 from repro.pec.families import make_adder

@@ -30,9 +30,9 @@ from repro.core.result import (
     Limits,
     SolveResult,
 )
-from repro.experiments import runner
+from repro.durable import ResultLog
+from repro.experiments import parallel, runner
 from repro.experiments.parallel import (
-    ResultLog,
     portfolio_label,
     record_to_entry,
     run_portfolio,
@@ -219,6 +219,11 @@ class TestPoolFaultTolerance:
 
 
 class TestResultLogResume:
+    def test_runner_reexports_the_durable_class(self):
+        # One class object: patching ``parallel.ResultLog.append`` must
+        # reach the service's log too.
+        assert parallel.ResultLog is ResultLog
+
     def test_roundtrip(self, tmp_path, unsat_instance):
         path = str(tmp_path / "results.jsonl")
         config = tiny_config(count=1)
@@ -242,7 +247,7 @@ class TestResultLogResume:
         path = tmp_path / "killed.jsonl"
         script = (
             "import os, sys\n"
-            "from repro.experiments.parallel import ResultLog\n"
+            "from repro.durable import ResultLog\n"
             "log = ResultLog(sys.argv[1])\n"
             "for i in range(5):\n"
             "    log.append({'instance': f'i{i}', 'solver': 'HQS',\n"

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import socket
 import threading
 import time
 
@@ -33,6 +34,7 @@ from repro.service import (
     decode_message,
     encode_message,
 )
+from repro.service import server as server_module
 from repro.service.client import ServiceError
 from repro.service.protocol import solve_request, validate_request
 
@@ -279,6 +281,104 @@ class TestInflightDedup:
             service.close()
         assert pool.calls == 2
         assert response["cache"] == "miss"
+        # The repeat skipped the parse but not the solve.
+        assert service.snapshot_stats()["admission"] == {
+            "parses": 1, "memo_hits": 1, "memo_entries": 1}
+
+
+# ----------------------------------------------------------------------
+# admission memo (exact formula text -> fingerprint)
+# ----------------------------------------------------------------------
+
+def reorder_clauses(text):
+    """The same formula with its clause lines in reverse order."""
+    lines = text.splitlines()
+    prefix = [line for line in lines if line[:1] in "cpaed"]
+    clauses = [line for line in lines if line[:1] not in "cpaed"]
+    return "\n".join(prefix + clauses[::-1]) + "\n"
+
+
+class TestAdmissionMemo:
+    @pytest.fixture
+    def parsed(self, monkeypatch):
+        """Texts the service handed to the parser, in order."""
+        texts = []
+
+        def spy(text):
+            texts.append(text)
+            return parse_dqdimacs(text)
+
+        monkeypatch.setattr(server_module, "parse_dqdimacs", spy)
+        return texts
+
+    @staticmethod
+    def run(messages, **config):
+        """Send ``messages`` one after another to a fresh service."""
+        pool = _BlockingPool()
+        pool.release.set()
+        service = SolverService(pool, ResultCache(), ServiceConfig(**config))
+
+        async def go():
+            return [await service.handle(message) for message in messages]
+
+        try:
+            replies = asyncio.run(go())
+        finally:
+            service.close()
+        return replies, service, pool
+
+    def test_identical_requests_parse_once(self, parsed):
+        text = family_text()
+        replies, service, pool = self.run([solve_request(text)] * 5)
+        assert parsed == [text]
+        fingerprint = formula_fingerprint(parse_dqdimacs(text))
+        assert all(reply["fingerprint"] == fingerprint for reply in replies)
+        assert [reply["cache"] for reply in replies] == ["miss"] + ["hit"] * 4
+        assert pool.calls == 1
+        assert service.snapshot_stats()["admission"] == {
+            "parses": 1, "memo_hits": 4, "memo_entries": 1}
+
+    def test_reordered_text_is_canonicalized_again(self, parsed):
+        text = family_text()
+        reordered = reorder_clauses(text)
+        assert reordered != text
+        replies, _service, pool = self.run(
+            [solve_request(text), solve_request(reordered)])
+        assert parsed == [text, reordered]
+        assert replies[0]["fingerprint"] == replies[1]["fingerprint"]
+        assert replies[1]["cache"] == "hit"
+        assert pool.calls == 1
+
+    def test_bad_formula_is_never_memoized(self, parsed):
+        bad = solve_request("p cnf nope")
+        replies, service, pool = self.run([bad, bad])
+        assert replies[0] == replies[1]
+        assert replies[0]["error"].startswith("bad formula: ")
+        assert len(parsed) == 2 and pool.calls == 0
+        stats = service.snapshot_stats()
+        assert stats["request_errors"] == 2
+        assert stats["admission"]["memo_entries"] == 0
+
+    def test_lone_surrogate_is_a_bad_formula(self):
+        # JSON admits a lone surrogate escape; it must reach the parser
+        # (and its "bad formula" reply), not fail while being hashed.
+        message = decode_message(
+            b'{"op":"solve","formula":"p cnf 1 1\\n\\ud800 0\\n"}')
+        replies, service, _pool = self.run([message])
+        assert replies[0]["error"].startswith("bad formula: ")
+        assert service.errors == 1
+
+    def test_memo_is_bounded_by_cache_capacity(self, parsed):
+        texts = [f"p cnf {n} 1\ne {n} 0\n{n} 0\n" for n in (1, 2, 3)]
+        order = texts + [texts[0], texts[2]]
+        replies, service, _pool = self.run(
+            [solve_request(text) for text in order], cache_capacity=2)
+        assert all(reply["ok"] for reply in replies)
+        # The oldest text fell out when the third arrived; the newest
+        # one is still remembered.
+        assert parsed == texts + [texts[0]]
+        assert service.snapshot_stats()["admission"] == {
+            "parses": 4, "memo_hits": 1, "memo_entries": 2}
 
 
 # ----------------------------------------------------------------------
@@ -463,3 +563,60 @@ class TestServerEndToEnd:
         tags = sorted(r["cache"] for r in results)
         assert tags.count("miss") == 1  # exactly one real solve
         assert all(tag in ("miss", "hit", "coalesced") for tag in tags)
+
+
+class _RaisingPool(_BlockingPool):
+    """Pool stand-in whose solve() fails the way a pool bug would."""
+
+    def solve(self, formula, family=None, time_limit=None,
+              node_limit=None, checkpoint=None):
+        self.calls += 1
+        raise RuntimeError("pool exploded")
+
+
+@pytest.fixture
+def stub_http_server():
+    """A ServiceServer with HTTP over a pool that raises on solve."""
+    config = ServiceConfig(port=0, http_port=0, drain_timeout=1.0)
+    server, _box, thread = start_server(config, _RaisingPool())
+    yield server
+    server_loop_stop(server)
+    thread.join(timeout=15.0)
+    assert not thread.is_alive()
+
+
+def http_exchange(port, raw):
+    """Send raw request bytes; return (status code, JSON body)."""
+    with socket.create_connection(("127.0.0.1", port), timeout=10.0) as sock:
+        sock.sendall(raw)
+        reply = b""
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            reply += chunk
+    head, _, body = reply.partition(b"\r\n\r\n")
+    return int(head.split()[1]), json.loads(body)
+
+
+class TestHttpErrors:
+    def test_negative_content_length_is_rejected(self, stub_http_server):
+        code, body = http_exchange(
+            stub_http_server.http_port,
+            b"POST /solve HTTP/1.1\r\nContent-Length: -5\r\n\r\n")
+        assert code == 400 and body == {"error": "bad content-length"}
+
+    def test_solve_path_exception_is_a_counted_500(self, stub_http_server,
+                                                   capsys):
+        payload = json.dumps({"formula": family_text()}).encode("utf-8")
+        code, body = http_exchange(
+            stub_http_server.http_port,
+            b"POST /solve HTTP/1.1\r\nContent-Length: %d\r\n\r\n%s"
+            % (len(payload), payload))
+        assert code == 500
+        assert body["ok"] is False
+        assert body["error"].startswith("internal error: RuntimeError(")
+        assert "Traceback" in capsys.readouterr().err
+        code, stats = http_exchange(stub_http_server.http_port,
+                                    b"GET /stats HTTP/1.1\r\n\r\n")
+        assert code == 200 and stats["request_errors"] == 1
