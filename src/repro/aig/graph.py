@@ -306,6 +306,10 @@ class Aig:
             raise ValueError(f"node {node} is not an input")
         return self._input_label[node]
 
+    def max_input_label(self) -> int:
+        """Largest external variable that has an input node (0 if none)."""
+        return max(self._input_node, default=0)
+
     @property
     def num_nodes(self) -> int:
         """Total node count in the manager (including dead nodes)."""

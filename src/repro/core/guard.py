@@ -128,7 +128,9 @@ class ResourceGuard:
         runs out but the parent still has headroom, so callers can
         distinguish "this stage is too expensive" (degrade) from "the
         whole solve is out of budget" (give up).  Conflicts charged to
-        the slice propagate to the parent.
+        the slice propagate to the parent, and the slice's ``check()``
+        raises the parent's :class:`ConflictLimitExceeded` once the
+        parent's conflict budget is spent.
         """
         remaining = self.remaining()
         slice_time: Optional[float] = None
@@ -223,6 +225,15 @@ class ResourceGuard:
             self._raise_time()
         if self.conflict_limit is not None and self.conflicts > self.conflict_limit:
             self._raise_conflicts()
+        parent = self._parent
+        if (
+            parent is not None
+            and parent.conflict_limit is not None
+            and parent.conflicts > parent.conflict_limit
+        ):
+            # A slice's own budget says nothing about the whole solve's
+            # conflicts, which its queries also charge.
+            parent._raise_conflicts()
 
     def check_nodes(self, num_nodes: int) -> None:
         self.note(matrix_size=float(num_nodes))

@@ -527,6 +527,7 @@ class HqsSolver:
                         self.stats.update(
                             {f"qbf_{k}": v for k, v in qbf_stats.as_dict().items()}
                         )
+                        self._trace(f"QBF back-end decided by {_backend_path(qbf_stats)}")
                         return result
                     except (
                         StageBudgetExceeded,
@@ -793,6 +794,15 @@ class HqsSolver:
                 f"{delta['encode_cache_hits']} encode cache hits, "
                 f"{delta['counterexamples']} counterexamples absorbed"
             )
+
+
+def _backend_path(stats: QbfSolverStats) -> str:
+    """Which part of the QBF back-end reached its verdict."""
+    if stats.cegar_rounds and not stats.cegar_fallbacks:
+        return "CEGAR"
+    if stats.quantifier_eliminations:
+        return "expansion"
+    return "unit/pure rules and the SAT endgame"
 
 
 def solve_dqbf(

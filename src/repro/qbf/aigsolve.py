@@ -1,14 +1,19 @@
-"""An AIG-based elimination QBF solver (the AIGSolve stand-in).
+"""The AIG-based QBF back-end (the AIGSolve stand-in).
 
 HQS hands over to this solver once the DQBF's dependency graph is
 acyclic: the linearized prefix plus the *same* matrix AIG come in
 directly — no CNF round trip (Section III-C: "we can feed the remaining
 AIG directly into this solver").
 
-The algorithm quantifies the innermost block variable by variable
-(``exists`` = OR of cofactors, ``forall`` = AND of cofactors),
-interleaved with syntactic unit/pure elimination, and short-circuits to
-a single SAT call when only one quantifier block remains.
+The loop prunes the prefix to the support, applies syntactic unit/pure
+elimination, and short-circuits to a single SAT call when only one
+quantifier block remains.  At the first point where it would expand a
+variable it asks the counterexample-guided solver
+(:mod:`repro.qbf.cegar`), which refutes the innermost universal block
+instead of expanding it.  That solver has a fixed conflict budget; when
+it runs out, the loop continues from the same state by quantifying the
+innermost block variable by variable (``exists`` = OR of cofactors,
+``forall`` = AND of cofactors).
 """
 
 from __future__ import annotations
@@ -22,16 +27,26 @@ from ..core.guard import ResourceGuard
 from ..formula.prefix import EXISTS, FORALL, BlockedPrefix
 from ..formula.qbf import Qbf
 from ..sat.incremental import AigSatSession
+from .cegar import solve_cegar
 
 
 class QbfSolverStats:
-    """Counters for one AIGSolve run."""
+    """Counters for one AIGSolve run.
+
+    ``cegar_rounds`` counts abstraction-refinement rounds over all
+    recursion levels, ``cegar_sat_calls`` the SAT queries they made, and
+    ``cegar_fallbacks`` the CEGAR calls that ran out of conflict budget
+    and left the formula to expansion.
+    """
 
     def __init__(self) -> None:
         self.quantifier_eliminations = 0
         self.unit_eliminations = 0
         self.pure_eliminations = 0
         self.sat_endgames = 0
+        self.cegar_rounds = 0
+        self.cegar_sat_calls = 0
+        self.cegar_fallbacks = 0
 
     def as_dict(self) -> Dict[str, int]:
         return dict(self.__dict__)
@@ -65,11 +80,13 @@ def solve_aig_qbf(
     ``sat_session`` routes the SAT endgames through a persistent
     incremental solver (HQS hands down the session it used during
     elimination, so clauses learned there keep working here); without
-    one each endgame builds a throwaway solver.
+    one each endgame builds a throwaway solver.  The CEGAR solver only
+    shares its counters (see :func:`~repro.qbf.cegar.solve_cegar`).
     """
     guard = ResourceGuard.ensure(limits)
     guard.enter_stage("qbf-backend")
     stats = stats if stats is not None else QbfSolverStats()
+    cegar_tried = False
 
     while True:
         guard.check()
@@ -113,6 +130,12 @@ def solve_aig_qbf(
             if quantifier == EXISTS:
                 return is_satisfiable(aig, root, guard.deadline(), sat_session)
             return is_tautology(aig, root, guard.deadline(), sat_session)
+
+        if not cegar_tried:
+            cegar_tried = True
+            verdict = solve_cegar(aig, root, blocks, guard, stats, sat_session)
+            if verdict is not None:
+                return verdict
 
         quantifier, variables = prefix.innermost_block()
         var = _cheapest_variable(aig, root, variables)

@@ -255,11 +255,18 @@ class AigSatSession:
             stats.unknown_answers += 1
         return status
 
-    def is_satisfiable(self, root: int, deadline: Optional[float] = None) -> bool:
+    def is_satisfiable(
+        self,
+        root: int,
+        deadline: Optional[float] = None,
+        conflict_limit: Optional[int] = None,
+    ) -> Optional[bool]:
         """Semantic constant-0 test: is the function at ``root`` satisfiable?
 
-        Raises :class:`~repro.errors.TimeoutExceeded` when ``deadline``
-        passes mid-solve.
+        Without a ``conflict_limit``, raises
+        :class:`~repro.errors.TimeoutExceeded` when ``deadline`` passes
+        mid-solve.  With one, any UNKNOWN answer (the limit or the
+        deadline) returns ``None``; the caller checks its own clock.
         """
         if root == FALSE:
             return False
@@ -267,9 +274,13 @@ class AigSatSession:
             return True
         if not self.persistent:
             self._fresh_solver()
-        status = self._solve([self.lit_of(root)], deadline=deadline)
+        status = self._solve(
+            [self.lit_of(root)], conflict_limit=conflict_limit, deadline=deadline
+        )
         if status == UNKNOWN:
-            raise TimeoutExceeded()
+            if conflict_limit is None:
+                raise TimeoutExceeded()
+            return None
         return status == SAT
 
     def is_tautology(self, root: int, deadline: Optional[float] = None) -> bool:

@@ -6,12 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.result import Limits
-from repro.errors import TimeoutExceeded
+from repro.aig.cnf_bridge import cnf_to_aig
+from repro.core.guard import ResourceGuard
+from repro.core.hqs import HqsSolver
+from repro.core.result import Limits, SAT, UNSAT
+from repro.errors import ConflictLimitExceeded, TimeoutExceeded
 from repro.formula.prefix import EXISTS, FORALL, BlockedPrefix
 from repro.formula.qbf import Qbf, brute_force_qbf
+from repro.pec.families import FAMILIES, generate_family
+from repro.qbf import cegar
 from repro.qbf.aigsolve import QbfSolverStats, solve_aig_qbf, solve_qbf
 from repro.qbf.qdpll import solve_qdpll
+from repro.sat.incremental import AigSatSession
 
 
 from conftest import random_qbf  # shared with test_qdimacs
@@ -95,7 +101,8 @@ class TestStatsAndLimits:
         stats = QbfSolverStats()
         aig, root = cnf_to_aig(formula.matrix.clauses)
         solve_aig_qbf(aig, root, BlockedPrefix(formula.prefix.blocks), stats=stats)
-        assert stats.sat_endgames + stats.quantifier_eliminations >= 1
+        decided = stats.sat_endgames + stats.quantifier_eliminations + stats.cegar_rounds
+        assert decided >= 1
         assert isinstance(stats.as_dict(), dict)
 
     def test_timeout_propagates(self):
@@ -112,3 +119,162 @@ class TestStatsAndLimits:
         formula = Qbf.build([(EXISTS, [1])], [[2]])
         with pytest.raises(ValueError):
             solve_qbf(formula)
+
+
+def _pigeonhole_qbf(holes: int) -> Qbf:
+    """``∃AB ∀y. (y ∨ PHP_A) ∧ (¬y ∨ PHP_B)`` with two copies of the
+    pigeonhole formula PHP(holes + 1, holes): FALSE, no unit or pure
+    literal, and refuting either instance of ``y`` takes the SAT solver
+    real conflicts."""
+    pigeons = holes + 1
+    width = pigeons * holes
+    y = 2 * width + 1
+    clauses = []
+    for offset, guard in ((0, y), (width, -y)):
+        def var(p, h):
+            return 1 + offset + p * holes + h
+
+        clauses += [[var(p, h) for h in range(holes)] + [guard] for p in range(pigeons)]
+        for h in range(holes):
+            for p in range(pigeons):
+                for q in range(p + 1, pigeons):
+                    clauses.append([-var(p, h), -var(q, h), guard])
+    return Qbf.build([(EXISTS, list(range(1, y))), (FORALL, [y])], clauses)
+
+
+def _random_3cnf_qbf(rng: random.Random) -> Qbf:
+    """6-12 variables in 2-5 alternating blocks over a random 3-CNF.
+
+    Unlike :func:`random_qbf` (clauses of width 1-3, mostly decided by
+    unit and pure rules) these need many refinement rounds per game."""
+    num_vars = rng.randint(6, 12)
+    variables = list(range(1, num_vars + 1))
+    rng.shuffle(variables)
+    cuts = sorted(rng.sample(range(1, num_vars), rng.randint(1, 4))) + [num_vars]
+    quantifier = rng.choice([EXISTS, FORALL])
+    blocks, start = [], 0
+    for cut in cuts:
+        blocks.append((quantifier, variables[start:cut]))
+        quantifier = FORALL if quantifier == EXISTS else EXISTS
+        start = cut
+    clauses = [
+        [v if rng.random() < 0.5 else -v for v in rng.sample(variables, 3)]
+        for _ in range(int(num_vars * rng.uniform(1.0, 3.0)))
+    ]
+    return Qbf.build(blocks, clauses)
+
+
+class TestCegarDifferential:
+    """The CEGAR back-end against brute force and QDPLL on formulas
+    with up to 11 variables, which reach 3-6 quantifier blocks."""
+
+    @staticmethod
+    def _formula(seed):
+        return random_qbf(random.Random(seed), max_vars=11, max_clauses=30)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 10**6))
+    def test_default_backend(self, seed):
+        formula = self._formula(seed)
+        expected = brute_force_qbf(formula)
+        assert solve_qdpll(formula.copy()) == expected
+        assert solve_qbf(formula.copy()) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 10**6))
+    def test_fallback_from_first_query(self, seed):
+        formula = self._formula(seed)
+        expected = brute_force_qbf(formula)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cegar, "CONFLICT_BUDGET", 0)
+            assert solve_qbf(formula.copy()) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 10**6))
+    def test_solve_cegar_directly(self, seed):
+        formula = self._formula(seed)
+        aig, root = cnf_to_aig(formula.matrix.clauses)
+        blocks = formula.prefix.blocks
+        assert cegar.solve_cegar(aig, root, blocks) == brute_force_qbf(formula)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 10**6))
+    def test_many_rounds_on_3cnf(self, seed):
+        formula = _random_3cnf_qbf(random.Random(seed))
+        expected = brute_force_qbf(formula)
+        aig, root = cnf_to_aig(formula.matrix.clauses)
+        assert cegar.solve_cegar(aig, root, formula.prefix.blocks) == expected
+        assert solve_qbf(formula.copy()) == expected
+
+    def test_pec_families_match_generator(self):
+        for family in FAMILIES:
+            for instance in generate_family(family, 4, scale=0.8):
+                result = HqsSolver().solve(instance.formula.copy())
+                assert result.status == (SAT if instance.expected else UNSAT), (
+                    family, instance.name,
+                )
+
+
+class TestCegarBudget:
+    def _c432(self):
+        return generate_family("c432", 4, scale=0.8)[0]
+
+    def test_c432_decided_without_fallback(self):
+        instance = self._c432()
+        solver = HqsSolver(trace=True)
+        result = solver.solve(instance.formula.copy())
+        assert result.status == (SAT if instance.expected else UNSAT)
+        assert result.stats["qbf_cegar_rounds"] >= 1
+        assert result.stats["qbf_cegar_fallbacks"] == 0
+        assert result.stats["qbf_quantifier_eliminations"] == 0
+        assert "QBF back-end decided by CEGAR" in solver.trace
+
+    def test_forced_fallback_expands(self, monkeypatch):
+        monkeypatch.setattr(cegar, "CONFLICT_BUDGET", 0)
+        instance = self._c432()
+        solver = HqsSolver(trace=True)
+        result = solver.solve(instance.formula.copy())
+        assert result.status == (SAT if instance.expected else UNSAT)
+        assert result.stats["qbf_cegar_fallbacks"] == 1
+        assert result.stats["qbf_cegar_sat_calls"] == 0
+        assert result.stats["qbf_quantifier_eliminations"] >= 1
+        assert "QBF back-end decided by expansion" in solver.trace
+
+    def test_conflicts_charged_to_guard(self):
+        formula = _pigeonhole_qbf(4)
+        aig, root = cnf_to_aig(formula.matrix.clauses)
+        lender = AigSatSession(aig)
+        guard = ResourceGuard()
+        stats = QbfSolverStats()
+        verdict = cegar.solve_cegar(
+            aig, root, formula.prefix.blocks, guard, stats, sat_session=lender
+        )
+        assert verdict is False
+        assert stats.cegar_fallbacks == 0
+        assert lender.stats.queries == stats.cegar_sat_calls >= 1
+        assert guard.conflicts == lender.stats.conflicts > 0
+
+    def test_per_call_cap_falls_back(self, monkeypatch):
+        monkeypatch.setattr(cegar, "CALL_CONFLICT_LIMIT", 1)
+        formula = _pigeonhole_qbf(4)
+        aig, root = cnf_to_aig(formula.matrix.clauses)
+        stats = QbfSolverStats()
+        assert cegar.solve_cegar(aig, root, formula.prefix.blocks, stats=stats) is None
+        assert stats.cegar_fallbacks == 1
+        # the expansion loop then decides the same formula
+        prefix = BlockedPrefix(formula.prefix.blocks)
+        assert solve_aig_qbf(aig, root, prefix, stats=stats) is False
+        assert stats.cegar_fallbacks == 2
+
+    def test_whole_solve_conflict_limit_is_not_a_fallback(self, monkeypatch):
+        monkeypatch.setattr(cegar, "CALL_CONFLICT_LIMIT", 1)
+        formula = _pigeonhole_qbf(4)
+        aig, root = cnf_to_aig(formula.matrix.clauses)
+        whole = ResourceGuard(conflict_limit=0)
+        stats = QbfSolverStats()
+        with pytest.raises(ConflictLimitExceeded):
+            solve_aig_qbf(
+                aig, root, BlockedPrefix(formula.prefix.blocks),
+                whole.slice(stage="qbf-backend"), stats=stats,
+            )
+        assert stats.cegar_fallbacks == 0

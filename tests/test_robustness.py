@@ -25,6 +25,7 @@ from repro.errors import (
 )
 from repro.formula.dqbf import Dqbf, expansion_solve
 from repro.pec.families import make_comp, make_pec_xor
+from repro.qbf import cegar
 
 
 class TestResourceGuard:
@@ -89,6 +90,15 @@ class TestResourceGuard:
             child.check()
         guard.check()  # parent budget (1000) still healthy
 
+    def test_slice_without_own_limit_raises_parents_conflict_limit(self):
+        guard = ResourceGuard(conflict_limit=5)
+        child = guard.slice(stage="qbf-backend")
+        child.charge_conflicts(5)
+        child.check()  # at the limit, not over it
+        child.charge_conflicts(1)
+        with pytest.raises(ConflictLimitExceeded):
+            child.check()
+
     def test_stage_deadline_fraction_zero_is_expired(self):
         guard = ResourceGuard()  # unlimited
         assert guard.stage_deadline(0.5) is None
@@ -138,6 +148,45 @@ class TestDegradationLadder:
         )
         assert result.status == (SAT if instance.expected else UNSAT)
         assert result.stats.get("degrade_qbf") == 1
+
+    def _sleep_in_cegar(self, monkeypatch):
+        """Make every CEGAR game first sleep past its guard's deadline;
+        returns the list of games entered."""
+        original = cegar._Game.solve
+        entered = []
+
+        def slow(game, *args):
+            entered.append(game)
+            time.sleep(max(0.0, game.guard.deadline() - time.monotonic()) + 0.01)
+            return original(game, *args)
+
+        monkeypatch.setattr(cegar._Game, "solve", slow)
+        return entered
+
+    def test_qbf_slice_expiring_inside_cegar_degrades(self, monkeypatch):
+        entered = self._sleep_in_cegar(monkeypatch)
+        instance = self._instance()
+        options = HqsOptions(qbf_time_fraction=0.01)
+        result = HqsSolver(options).solve(
+            instance.formula.copy(), Limits(time_limit=20)
+        )
+        assert entered
+        assert result.status == (SAT if instance.expected else UNSAT)
+        assert result.stats.get("degrade_qbf") == 1
+        assert result.stats["qbf_cegar_fallbacks"] == 0
+
+    def test_whole_deadline_inside_cegar_is_unknown(self, monkeypatch):
+        entered = self._sleep_in_cegar(monkeypatch)
+        options = HqsOptions(qbf_time_fraction=1.0)
+        result = HqsSolver(options).solve(
+            self._instance().formula.copy(), Limits(time_limit=1.0)
+        )
+        assert entered
+        assert result.status == UNKNOWN
+        assert result.failure.stage == "qbf-backend"
+        assert result.failure.resource == "time"
+        assert "degrade_qbf" not in result.stats
+        assert result.stats.get("qbf_cegar_fallbacks", 0) == 0
 
     def test_fraig_over_budget_degrades_to_strash(self):
         instance = self._instance()

@@ -207,7 +207,7 @@ class TestWorkerPool:
         ckpt = str(tmp_path / "resume.ckpt")
         with WorkerPool(size=1) as pool:
             first = pool.solve(formula, family="comp",
-                               node_limit=800, checkpoint=ckpt)
+                               node_limit=500, checkpoint=ckpt)
             assert first["status"] == "UNKNOWN"
             assert first["stats"].get("checkpoint_writes", 0) >= 1
             second = pool.solve(formula, family="comp", checkpoint=ckpt)
