@@ -404,7 +404,7 @@ class HqsSolver:
             self._sat_session = shared.rebind(state.aig)
             # Recorded *after* the rebind: a clause-budget reset during
             # rebinding means the solve inherited nothing after all.
-            self.stats["sat_warm_learnts"] = shared.solver.statistics["learnts"]
+            self.stats["sat_warm_learnts"] = shared.solver.num_learnts
         else:
             self.stats["sat_warm_learnts"] = 0
             self._sat_stats_base = {}

@@ -133,17 +133,17 @@ class PartialMaxSatSolver:
                 remaining_conflicts = conflict_limit - totals["conflicts"]
                 if remaining_conflicts <= 0:
                     raise StageBudgetExceeded("maxsat conflict budget exhausted")
-            before = solver.statistics
+            conflicts = solver.conflicts
+            decisions = solver.decisions
             status = solver.solve(
                 assumptions,
                 conflict_limit=remaining_conflicts,
                 deadline=deadline,
             )
-            after = solver.statistics
-            spent = after["conflicts"] - before["conflicts"]
+            spent = solver.conflicts - conflicts
             per_bound[bound] = per_bound.get(bound, 0) + spent
             totals["conflicts"] += spent
-            totals["decisions"] += after["decisions"] - before["decisions"]
+            totals["decisions"] += solver.decisions - decisions
             if status not in (SAT, UNSAT):
                 raise StageBudgetExceeded("maxsat search budget exhausted")
             return status

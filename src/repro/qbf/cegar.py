@@ -201,7 +201,7 @@ class _Game:
         if root == TRUE:
             return {}
         session = self.session
-        left = CONFLICT_BUDGET - session.solver.statistics["conflicts"]
+        left = CONFLICT_BUDGET - session.solver.conflicts
         if left <= 0:
             raise _BudgetSpent()
         self.stats.cegar_sat_calls += 1

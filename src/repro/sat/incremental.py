@@ -169,10 +169,6 @@ class AigSatSession:
     # ------------------------------------------------------------------
     # lazy Tseitin encoding
     # ------------------------------------------------------------------
-    def _add(self, clause) -> None:
-        self._solver.add_clause(clause)
-        self.stats.clauses_encoded += 1
-
     def _var_for_input(self, label: int) -> int:
         var = self._input_var.get(label)
         if var is None:
@@ -199,29 +195,33 @@ class AigSatSession:
         aig = self.aig
         node_var = self._node_var
         stats = self.stats
+        solver = self._solver
+        add_clause = solver.add_clause
         for node in aig.cone_nodes(edge):
             if node in node_var:
                 stats.encode_cache_hits += 1
                 continue
             if node == 0:
-                var = self._solver.new_var()
-                self._add([-var])
+                var = solver.new_var()
+                add_clause([-var])
+                stats.clauses_encoded += 1
             elif aig.is_input(node):
                 var = self._var_for_input(aig.input_label(node))
             else:
-                var = self._solver.new_var()
+                var = solver.new_var()
                 f0, f1 = aig.fanins(node)
-                a = self._fanin_lit(f0)
-                b = self._fanin_lit(f1)
-                self._add([-var, a])
-                self._add([-var, b])
-                self._add([var, -a, -b])
+                a = node_var[f0 >> 1]
+                if f0 & 1:
+                    a = -a
+                b = node_var[f1 >> 1]
+                if f1 & 1:
+                    b = -b
+                add_clause([-var, a])
+                add_clause([-var, b])
+                add_clause([var, -a, -b])
+                stats.clauses_encoded += 3
             node_var[node] = var
             stats.nodes_encoded += 1
-
-    def _fanin_lit(self, edge: int) -> int:
-        var = self._node_var[edge >> 1]
-        return -var if edge & 1 else var
 
     # ------------------------------------------------------------------
     # queries (assumption-based; nothing is ever asserted)
@@ -234,17 +234,18 @@ class AigSatSession:
     ) -> str:
         solver = self._solver
         stats = self.stats
-        before = solver.statistics
+        conflicts = solver.conflicts
+        decisions = solver.decisions
+        propagations = solver.propagations
         stats.queries += 1
-        stats.learnts_reused += before["learnts"]
+        stats.learnts_reused += solver.num_learnts
         status = solver.solve(
             assumptions, conflict_limit=conflict_limit, deadline=deadline
         )
-        after = solver.statistics
-        spent = after["conflicts"] - before["conflicts"]
+        spent = solver.conflicts - conflicts
         stats.conflicts += spent
-        stats.decisions += after["decisions"] - before["decisions"]
-        stats.propagations += after["propagations"] - before["propagations"]
+        stats.decisions += solver.decisions - decisions
+        stats.propagations += solver.propagations - propagations
         if self.guard is not None:
             self.guard.charge_conflicts(spent)
         if status == SAT:

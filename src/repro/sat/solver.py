@@ -8,11 +8,27 @@ layer and by FRAIG sweeping).
 
 Literals follow the DIMACS convention externally; internally literal
 ``l`` is encoded as ``2*v`` (positive) or ``2*v+1`` (negative) so watch
-lists can live in flat lists.
+lists and values can live in flat lists.  ``_val[enc]`` is 1, -1 or 0
+(true, false, unassigned) for every encoded literal: an assignment sets
+both ``_val[enc]`` and ``_val[enc ^ 1]``, so reading a literal's value
+is one list index with no sign flip.
+
+The hot loops are written MiniSat-style (Eén & Sörensson, SAT 2003),
+with the containers bound to locals and no per-literal method calls:
+``_propagate`` inlines the value tests and the enqueue, ``_backtrack``
+re-inserts unassigned variables into the VSIDS heap with the sift-up
+inline, ``_pick_branch`` pops the heap with the sift-down inline, and
+``_analyze`` bumps activities with the sift-up inline.  The search
+trajectory (decisions, propagations, conflicts, learnt clauses, models
+and cores, in order) is part of the solver's behaviour — every layer
+above sees its models and cores — and ``TestTrajectoryOracle`` in
+``tests/test_sat_solver.py`` pins it, so a rewrite may change only the
+constant factor.
 """
 
 from __future__ import annotations
 
+import time
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 SAT = "SAT"
@@ -27,10 +43,6 @@ def _encode(lit: int) -> int:
 def _decode(enc: int) -> int:
     var = enc >> 1
     return var if (enc & 1) == 0 else -var
-
-
-def _negate(enc: int) -> int:
-    return enc ^ 1
 
 
 class _Clause:
@@ -63,7 +75,7 @@ class CdclSolver:
         self._clauses: List[_Clause] = []
         self._learnts: List[_Clause] = []
         self._watches: List[List[_Clause]] = [[], []]
-        self._assign: List[int] = [0]          # 0 unassigned, 1 true, -1 false (per var)
+        self._val: List[int] = [0, 0]          # 1 true, -1 false, 0 unassigned (per literal)
         self._level: List[int] = [0]
         self._reason: List[Optional[_Clause]] = [None]
         self._trail: List[int] = []            # encoded literals
@@ -91,17 +103,21 @@ class CdclSolver:
     def new_var(self) -> int:
         """Allocate a fresh variable and return its index."""
         self.num_vars += 1
-        self._assign.append(0)
+        var = self.num_vars
+        self._val.append(0)
+        self._val.append(0)
         self._level.append(0)
         self._reason.append(None)
         self._activity.append(0.0)
         self._polarity.append(False)
-        self._heap_pos.append(-1)
         self._seen.append(0)
         self._watches.append([])
         self._watches.append([])
-        self._heap_insert(self.num_vars)
-        return self.num_vars
+        # Activities are never negative, so a new variable (activity 0)
+        # never sifts up: it goes to the end of the heap.
+        self._heap_pos.append(len(self._order))
+        self._order.append(var)
+        return var
 
     def ensure_vars(self, max_var: int) -> None:
         while self.num_vars < max_var:
@@ -114,11 +130,17 @@ class CdclSolver:
         seen: Set[int] = set()
         clause: List[int] = []
         for lit in lits:
-            if lit == 0:
+            if lit > 0:
+                var = lit
+                enc = lit << 1
+            elif lit < 0:
+                var = -lit
+                enc = (var << 1) | 1
+            else:
                 raise ValueError("0 is not a literal")
-            self.ensure_vars(abs(lit))
-            enc = _encode(lit)
-            if _negate(enc) in seen:
+            if var > self.num_vars:
+                self.ensure_vars(var)
+            if enc ^ 1 in seen:
                 return True  # tautology
             if enc in seen:
                 continue
@@ -126,15 +148,21 @@ class CdclSolver:
             clause.append(enc)
 
         # Adding clauses is only supported at decision level 0.
-        self._backtrack(0)
-        clause = [e for e in clause if self._value(e) != -1]
-        if any(self._value(e) == 1 for e in clause):
-            return True
-        if not clause:
+        if self._trail_lim:
+            self._backtrack(0)
+        val = self._val
+        kept: List[int] = []
+        for enc in clause:
+            value = val[enc]
+            if value == 1:
+                return True
+            if value == 0:
+                kept.append(enc)
+        if not kept:
             self._ok = False
             return False
-        if len(clause) == 1:
-            if not self._enqueue(clause[0], None):
+        if len(kept) == 1:
+            if not self._enqueue(kept[0], None):
                 self._ok = False
                 return False
             conflict = self._propagate()
@@ -142,9 +170,10 @@ class CdclSolver:
                 self._ok = False
                 return False
             return True
-        record = _Clause(clause)
+        record = _Clause(kept)
         self._clauses.append(record)
-        self._attach(record)
+        self._watches[kept[0]].append(record)
+        self._watches[kept[1]].append(record)
         return True
 
     def add_clauses(self, clauses: Iterable[Iterable[int]]) -> bool:
@@ -181,7 +210,6 @@ class CdclSolver:
 
         restarts = 0
         budget = self._conflicts + conflict_limit if conflict_limit is not None else -1
-        import time as _time
 
         while True:
             limit = _luby(restarts) * 100
@@ -193,7 +221,7 @@ class CdclSolver:
             if budget >= 0 and self._conflicts >= budget:
                 self._backtrack(0)
                 return UNKNOWN
-            if deadline is not None and _time.monotonic() > deadline:
+            if deadline is not None and time.monotonic() > deadline:
                 self._backtrack(0)
                 return UNKNOWN
 
@@ -218,30 +246,53 @@ class CdclSolver:
             "learnts": len(self._learnts),
         }
 
+    # Single counters, for callers that read them around every query
+    # and should not build the ``statistics`` dict each time.
+    @property
+    def conflicts(self) -> int:
+        return self._conflicts
+
+    @property
+    def decisions(self) -> int:
+        return self._decisions
+
+    @property
+    def propagations(self) -> int:
+        return self._propagations
+
+    @property
+    def num_learnts(self) -> int:
+        return len(self._learnts)
+
     # ------------------------------------------------------------------
     # core search
     # ------------------------------------------------------------------
     def _search(
         self, conflict_budget: int, assumptions: List[int], global_budget: int
     ) -> Optional[str]:
+        trail = self._trail
+        trail_lim = self._trail_lim
+        val = self._val
+        num_assumptions = len(assumptions)
         local_conflicts = 0
         while True:
             conflict = self._propagate()
             if conflict is not None:
                 self._conflicts += 1
                 local_conflicts += 1
-                if self._decision_level() == 0:
+                if not trail_lim:
                     self._ok = False
                     return UNSAT
                 learnt, backtrack_level = self._analyze(conflict)
-                if self._decision_level() <= len(assumptions):
+                if len(trail_lim) <= num_assumptions:
                     # Conflict depends only on assumptions: compute the core.
                     self._analyze_final(conflict, assumptions)
                     self._ok = True
                     return UNSAT
                 self._backtrack(max(backtrack_level, 0))
                 self._record_learnt(learnt)
-                self._decay_activities()
+                self._var_inc /= self._var_decay
+                self._cla_inc /= self._cla_decay
                 if 0 <= global_budget <= self._conflicts:
                     return None
                 if local_conflicts >= conflict_budget:
@@ -250,11 +301,11 @@ class CdclSolver:
             else:
                 # assumption handling
                 next_decision = None
-                while self._decision_level() < len(assumptions):
-                    enc = assumptions[self._decision_level()]
-                    value = self._value(enc)
+                while len(trail_lim) < num_assumptions:
+                    enc = assumptions[len(trail_lim)]
+                    value = val[enc]
                     if value == 1:
-                        self._trail_lim.append(len(self._trail))
+                        trail_lim.append(len(trail))
                         continue
                     if value == -1:
                         self._failed_from_assumption(enc, assumptions)
@@ -265,88 +316,134 @@ class CdclSolver:
                     next_decision = self._pick_branch()
                     if next_decision is None:
                         self._model = {
-                            v: self._assign[v] == 1 for v in range(1, self.num_vars + 1)
+                            var: value == 1 for var, value in enumerate(val[2::2], 1)
                         }
                         return SAT
                     self._decisions += 1
-                self._trail_lim.append(len(self._trail))
-                self._enqueue(next_decision, None)
+                # The decision literal is unassigned: enqueue it inline.
+                var = next_decision >> 1
+                val[next_decision] = 1
+                val[next_decision ^ 1] = -1
+                self._level[var] = len(trail_lim) + 1
+                self._reason[var] = None
+                self._polarity[var] = (next_decision & 1) == 0
+                trail_lim.append(len(trail))
+                trail.append(next_decision)
 
     def _propagate(self) -> Optional[_Clause]:
-        while self._qhead < len(self._trail):
-            enc = self._trail[self._qhead]
-            self._qhead += 1
-            self._propagations += 1
-            false_lit = _negate(enc)
-            watchers = self._watches[false_lit]
+        trail = self._trail
+        watches = self._watches
+        val = self._val
+        level = self._level
+        reason = self._reason
+        polarity = self._polarity
+        current = len(self._trail_lim)
+        start = qhead = self._qhead
+        while qhead < len(trail):
+            false_lit = trail[qhead] ^ 1
+            qhead += 1
+            watchers = watches[false_lit]
+            # No clause gains a watch on false_lit while its list is
+            # scanned (a new watch is never false), so the size is fixed.
+            size = len(watchers)
             i = 0
             j = 0
-            while i < len(watchers):
+            while i < size:
                 clause = watchers[i]
                 i += 1
                 lits = clause.lits
                 # Make sure the false literal is at position 1.
-                if lits[0] == false_lit:
-                    lits[0], lits[1] = lits[1], lits[0]
                 first = lits[0]
-                if self._value(first) == 1:
+                if first == false_lit:
+                    first = lits[1]
+                    lits[0] = first
+                    lits[1] = false_lit
+                if val[first] == 1:
                     watchers[j] = clause
                     j += 1
                     continue
                 # Look for a new watch.
-                found = False
                 for k in range(2, len(lits)):
-                    if self._value(lits[k]) != -1:
-                        lits[1], lits[k] = lits[k], lits[1]
-                        self._watches[lits[1]].append(clause)
-                        found = True
+                    lit = lits[k]
+                    if val[lit] != -1:
+                        lits[1] = lit
+                        lits[k] = false_lit
+                        watches[lit].append(clause)
                         break
-                if found:
-                    continue
-                # Clause is unit or conflicting.
-                watchers[j] = clause
-                j += 1
-                if self._value(first) == -1:
-                    # conflict: copy the remaining watchers and bail out
-                    while i < len(watchers):
-                        watchers[j] = watchers[i]
-                        j += 1
-                        i += 1
-                    del watchers[j:]
-                    self._qhead = len(self._trail)
-                    return clause
-                self._enqueue(first, clause)
+                else:
+                    # Clause is unit or conflicting.
+                    watchers[j] = clause
+                    j += 1
+                    if val[first] == -1:
+                        # conflict: close the gap over the moved watchers
+                        del watchers[j:i]
+                        self._propagations += qhead - start
+                        self._qhead = len(trail)
+                        return clause
+                    var = first >> 1
+                    val[first] = 1
+                    val[first ^ 1] = -1
+                    level[var] = current
+                    reason[var] = clause
+                    polarity[var] = (first & 1) == 0
+                    trail.append(first)
             del watchers[j:]
+        self._propagations += qhead - start
+        self._qhead = qhead
         return None
 
     def _analyze(self, conflict: _Clause) -> Tuple[List[int], int]:
         learnt: List[int] = [0]  # reserve slot for the asserting literal
         seen = self._seen
+        level = self._level
+        trail = self._trail
+        activity = self._activity
+        order = self._order
+        heap_pos = self._heap_pos
+        var_inc = self._var_inc
         counter = 0
         enc = -1
-        index = len(self._trail) - 1
+        index = len(trail) - 1
         reason: Optional[_Clause] = conflict
-        current_level = self._decision_level()
+        current_level = len(self._trail_lim)
 
         while True:
             assert reason is not None
             if reason.learnt:
                 self._bump_clause(reason)
-            start = 0 if enc == -1 else 1
-            for k in range(start, len(reason.lits)):
-                q = reason.lits[k]
+            lits = reason.lits
+            for k in range(0 if enc == -1 else 1, len(lits)):
+                q = lits[k]
                 var = q >> 1
-                if seen[var] == 0 and self._level[var] > 0:
+                if seen[var] == 0 and level[var] > 0:
                     seen[var] = 1
-                    self._bump_var(var)
-                    if self._level[var] >= current_level:
+                    # VSIDS bump, then sift the variable up its heap slot.
+                    act = activity[var] + var_inc
+                    activity[var] = act
+                    if act > 1e100:
+                        self._rescale_activities()
+                        var_inc = self._var_inc
+                        act = activity[var]
+                    slot = heap_pos[var]
+                    if slot >= 0:
+                        while slot > 0:
+                            parent = (slot - 1) >> 1
+                            above = order[parent]
+                            if activity[above] >= act:
+                                break
+                            order[slot] = above
+                            heap_pos[above] = slot
+                            slot = parent
+                        order[slot] = var
+                        heap_pos[var] = slot
+                    if level[var] >= current_level:
                         counter += 1
                     else:
                         learnt.append(q)
             # pick next literal to expand from the trail
-            while seen[self._trail[index] >> 1] == 0:
+            while seen[trail[index] >> 1] == 0:
                 index -= 1
-            enc = self._trail[index]
+            enc = trail[index]
             index -= 1
             var = enc >> 1
             reason = self._reason[var]
@@ -354,7 +451,7 @@ class CdclSolver:
             counter -= 1
             if counter == 0:
                 break
-        learnt[0] = _negate(enc)
+        learnt[0] = enc ^ 1
 
         # Minimize: drop literals implied by the rest of the clause.
         cached = {lit >> 1 for lit in learnt}
@@ -364,27 +461,26 @@ class CdclSolver:
                 minimized.append(lit)
         # compute backtrack level and clean the seen markers
         for lit in learnt:
-            self._seen[lit >> 1] = 0
+            seen[lit >> 1] = 0
         if len(minimized) == 1:
-            level = 0
-        else:
-            max_index = 1
-            for k in range(2, len(minimized)):
-                if self._level[minimized[k] >> 1] > self._level[minimized[max_index] >> 1]:
-                    max_index = k
-            minimized[1], minimized[max_index] = minimized[max_index], minimized[1]
-            level = self._level[minimized[1] >> 1]
-        return minimized, level
+            return minimized, 0
+        max_index = 1
+        for k in range(2, len(minimized)):
+            if level[minimized[k] >> 1] > level[minimized[max_index] >> 1]:
+                max_index = k
+        minimized[1], minimized[max_index] = minimized[max_index], minimized[1]
+        return minimized, level[minimized[1] >> 1]
 
     def _redundant(self, enc: int, cached: Set[int]) -> bool:
         reason = self._reason[enc >> 1]
         if reason is None:
             return False
+        level = self._level
         for other in reason.lits:
             var = other >> 1
             if var == enc >> 1:
                 continue
-            if self._level[var] == 0 or var in cached:
+            if level[var] == 0 or var in cached:
                 continue
             return False
         return True
@@ -460,43 +556,53 @@ class CdclSolver:
     # ------------------------------------------------------------------
     # assignment bookkeeping
     # ------------------------------------------------------------------
-    def _value(self, enc: int) -> int:
-        """1 = true, -1 = false, 0 = unassigned (for an encoded literal)."""
-        raw = self._assign[enc >> 1]
-        if raw == 0:
-            return 0
-        return raw if (enc & 1) == 0 else -raw
-
     def _enqueue(self, enc: int, reason: Optional[_Clause]) -> bool:
-        value = self._value(enc)
-        if value == 1:
-            return True
-        if value == -1:
-            return False
+        value = self._val[enc]
+        if value:
+            return value == 1
         var = enc >> 1
-        self._assign[var] = 1 if (enc & 1) == 0 else -1
-        self._level[var] = self._decision_level()
+        self._val[enc] = 1
+        self._val[enc ^ 1] = -1
+        self._level[var] = len(self._trail_lim)
         self._reason[var] = reason
         self._polarity[var] = (enc & 1) == 0
         self._trail.append(enc)
         return True
 
-    def _decision_level(self) -> int:
-        return len(self._trail_lim)
-
     def _backtrack(self, level: int) -> None:
-        if self._decision_level() <= level:
+        trail_lim = self._trail_lim
+        if len(trail_lim) <= level:
             return
-        boundary = self._trail_lim[level]
-        for enc in reversed(self._trail[boundary:]):
+        trail = self._trail
+        boundary = trail_lim[level]
+        val = self._val
+        reason = self._reason
+        order = self._order
+        heap_pos = self._heap_pos
+        activity = self._activity
+        for enc in reversed(trail[boundary:]):
+            val[enc] = 0
+            val[enc ^ 1] = 0
             var = enc >> 1
-            self._assign[var] = 0
-            self._reason[var] = None
-            if self._heap_pos[var] < 0:
-                self._heap_insert(var)
-        del self._trail[boundary:]
-        del self._trail_lim[level:]
-        self._qhead = len(self._trail)
+            reason[var] = None
+            if heap_pos[var] < 0:
+                # Re-insert into the VSIDS heap: append, then sift up.
+                act = activity[var]
+                slot = len(order)
+                order.append(var)
+                while slot > 0:
+                    parent = (slot - 1) >> 1
+                    above = order[parent]
+                    if activity[above] >= act:
+                        break
+                    order[slot] = above
+                    heap_pos[above] = slot
+                    slot = parent
+                order[slot] = var
+                heap_pos[var] = slot
+        del trail[boundary:]
+        del trail_lim[level:]
+        self._qhead = boundary
 
     def _attach(self, clause: _Clause) -> None:
         self._watches[clause.lits[0]].append(clause)
@@ -513,74 +619,44 @@ class CdclSolver:
     # ------------------------------------------------------------------
     # VSIDS order (binary heap over activities)
     # ------------------------------------------------------------------
-    def _heap_insert(self, var: int) -> None:
-        self._order.append(var)
-        self._heap_pos[var] = len(self._order) - 1
-        self._heap_up(len(self._order) - 1)
-
-    def _heap_up(self, index: int) -> None:
-        order = self._order
-        activity = self._activity
-        var = order[index]
-        while index > 0:
-            parent = (index - 1) >> 1
-            if activity[order[parent]] >= activity[var]:
-                break
-            order[index] = order[parent]
-            self._heap_pos[order[index]] = index
-            index = parent
-        order[index] = var
-        self._heap_pos[var] = index
-
-    def _heap_down(self, index: int) -> None:
-        order = self._order
-        activity = self._activity
-        size = len(order)
-        var = order[index]
-        while True:
-            left = 2 * index + 1
-            if left >= size:
-                break
-            best = left
-            right = left + 1
-            if right < size and activity[order[right]] > activity[order[left]]:
-                best = right
-            if activity[order[best]] <= activity[var]:
-                break
-            order[index] = order[best]
-            self._heap_pos[order[index]] = index
-            index = best
-        order[index] = var
-        self._heap_pos[var] = index
-
-    def _heap_pop(self) -> Optional[int]:
-        if not self._order:
-            return None
-        top = self._order[0]
-        last = self._order.pop()
-        self._heap_pos[top] = -1
-        if self._order:
-            self._order[0] = last
-            self._heap_pos[last] = 0
-            self._heap_down(0)
-        return top
-
     def _pick_branch(self) -> Optional[int]:
-        while True:
-            var = self._heap_pop()
-            if var is None:
-                return None
-            if self._assign[var] == 0:
-                return (var << 1) | (0 if self._polarity[var] else 1)
+        order = self._order
+        heap_pos = self._heap_pos
+        activity = self._activity
+        val = self._val
+        while order:
+            # Pop the root; move the last entry there and sift it down.
+            top = order[0]
+            last = order.pop()
+            heap_pos[top] = -1
+            size = len(order)
+            if size:
+                act = activity[last]
+                slot = 0
+                left = 1
+                while left < size:
+                    best = left
+                    right = left + 1
+                    if right < size and activity[order[right]] > activity[order[left]]:
+                        best = right
+                    below = order[best]
+                    if activity[below] <= act:
+                        break
+                    order[slot] = below
+                    heap_pos[below] = slot
+                    slot = best
+                    left = 2 * slot + 1
+                order[slot] = last
+                heap_pos[last] = slot
+            if val[top << 1] == 0:
+                return (top << 1) | (0 if self._polarity[top] else 1)
+        return None
 
-    def _bump_var(self, var: int) -> None:
-        self._activity[var] += self._var_inc
-        if self._activity[var] > 1e100:
-            for v in range(1, self.num_vars + 1):
-                self._activity[v] *= 1e-100
-            self._var_inc *= 1e-100
-        if self._heap_pos[var] >= 0:
-            self._heap_up(self._heap_pos[var])
+    def _rescale_activities(self) -> None:
+        activity = self._activity
+        for v in range(1, self.num_vars + 1):
+            activity[v] *= 1e-100
+        self._var_inc *= 1e-100
 
     def _bump_clause(self, clause: _Clause) -> None:
         clause.activity += self._cla_inc
@@ -588,10 +664,6 @@ class CdclSolver:
             for c in self._learnts:
                 c.activity *= 1e-20
             self._cla_inc *= 1e-20
-
-    def _decay_activities(self) -> None:
-        self._var_inc /= self._var_decay
-        self._cla_inc /= self._cla_decay
 
 
 def _luby(index: int) -> int:

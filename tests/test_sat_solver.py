@@ -1,5 +1,7 @@
 """Tests for the CDCL SAT solver (against the DPLL oracle and by hand)."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 
@@ -150,6 +152,127 @@ class TestAssumptions:
         assert solver.model()[2] is True
         solver.add_clause([-2])
         assert solver.solve() == UNSAT
+
+
+def random_3cnf(seed: int, num_vars: int, ratio: float = 4.26):
+    """Seeded uniform random 3-CNF with ``round(ratio * num_vars)`` clauses."""
+    rng = random.Random(seed)
+    clauses = []
+    for _ in range(round(ratio * num_vars)):
+        picked = rng.sample(range(1, num_vars + 1), 3)
+        clauses.append([v if rng.random() < 0.5 else -v for v in picked])
+    return clauses
+
+
+def _snapshot(solver: CdclSolver, status: str):
+    """``(status, counters, model bits, failed assumptions)`` after a solve."""
+    stats = solver.statistics
+    counters = tuple(
+        stats[key]
+        for key in ("conflicts", "decisions", "propagations", "clauses", "learnts")
+    )
+    bits = None
+    if status == SAT:
+        model = solver.model()
+        bits = "".join("1" if model[v] else "0" for v in range(1, solver.num_vars + 1))
+    return status, counters, bits, solver.failed_assumptions()
+
+
+def _one_shot(clauses):
+    solver = CdclSolver()
+    solver.add_clauses(clauses)
+    return _snapshot(solver, solver.solve())
+
+
+def _incremental_sequence():
+    """Assumptions, clauses added between solves, an UNKNOWN and a core."""
+    solver = CdclSolver()
+    solver.add_clauses(random_3cnf(11, 40, ratio=3.8))
+    steps = [_snapshot(solver, solver.solve())]
+    steps.append(_snapshot(solver, solver.solve([1, -2, 3])))
+    solver.add_clauses(random_3cnf(12, 40, ratio=0.5))
+    steps.append(_snapshot(solver, solver.solve([-1, 5])))
+    # php(5) over variables 101..130, switched on by the selector 100.
+    selector = 100
+    for clause in php_clauses(5):
+        solver.add_clause([-selector] + [lit + 100 if lit > 0 else lit - 100 for lit in clause])
+    steps.append(_snapshot(solver, solver.solve([selector], conflict_limit=20)))
+    # 201 -> 202 -> 203 and 204 -> -203: assuming 201 and 204 fails.
+    solver.add_clauses([[-201, 202], [-202, 203], [-204, -203]])
+    steps.append(_snapshot(solver, solver.solve([205, 201, 206, 204])))
+    steps.append(_snapshot(solver, solver.solve([selector])))
+    steps.append(_snapshot(solver, solver.solve()))
+    return steps
+
+
+class TestTrajectoryOracle:
+    """The search trajectory is part of the solver's behaviour.
+
+    Decisions, propagations, conflicts and learnt clauses must come out
+    in the same order after any rewrite of the kernel: the MaxSAT layer,
+    FRAIG sweeps and the CEGAR back-end all see models and cores, and
+    their own trajectories follow from them.  The golden values below
+    were recorded from the solver at commit ab7395c, before its hot
+    loops were inlined, by running ``_one_shot`` and
+    ``_incremental_sequence`` on this corpus and printing the results.
+    Counters are ``(conflicts, decisions, propagations, clauses,
+    learnts)``; a model is the bit string of variables 1..n.  Any
+    change to VSIDS tie-breaking, watch order, restarts or clause
+    minimisation changes at least one value.
+    """
+
+    GOLDEN_PHP = {
+        4: ("UNSAT", (28, 31, 277, 45, 24), None, []),
+        5: ("UNSAT", (155, 201, 1788, 81, 150), None, []),
+        6: ("UNSAT", (655, 805, 8140, 133, 651), None, []),
+    }
+    GOLDEN_RANDOM = {
+        0: ("UNSAT", (177, 199, 3568, 341, 170), None, []),
+        1: ("UNSAT", (124, 141, 2202, 341, 116), None, []),
+        2: ("UNSAT", (277, 335, 5734, 341, 272), None, []),
+        3: ("UNSAT", (301, 344, 5780, 341, 297), None, []),
+        4: ("UNSAT", (176, 195, 3481, 341, 166), None, []),
+        5: ("UNSAT", (229, 266, 4483, 341, 225), None, []),
+        6: (
+            "SAT",
+            (204, 261, 4023, 341, 203),
+            "10101110111101011101010000000101111110100111001101011110000001111000111000100001",
+            [],
+        ),
+        7: (
+            "SAT",
+            (14, 27, 320, 341, 14),
+            "01101110111101100000100101010001110111100111110011010111000101111011101110010100",
+            [],
+        ),
+    }
+    GOLDEN_INCREMENTAL = [
+        ("SAT", (9, 19, 131, 152, 9), "0011101001000111111110101001111111111100", []),
+        ("SAT", (9, 30, 171, 152, 9), "1011100001000111111111101001111110011100", []),
+        ("UNSAT", (22, 43, 315, 172, 21), None, [-1, 5]),
+        ("UNKNOWN", (42, 67, 575, 253, 41), None, []),
+        ("UNSAT", (42, 67, 581, 256, 41), None, [201, 204]),
+        ("UNSAT", (200, 309, 2466, 256, 197), None, [100]),
+        (
+            "SAT",
+            (201, 480, 2697, 256, 197),
+            "1011100001000111110111101001111110011000000000000000000000000000000000"
+            "0000000000000000000000000000000100000010000000010010000000010000000000"
+            "000000000000000000000000000000000000000000000000000000000000111011",
+            [],
+        ),
+    ]
+
+    @pytest.mark.parametrize("holes", [4, 5, 6])
+    def test_pigeonhole(self, holes):
+        assert _one_shot(php_clauses(holes)) == self.GOLDEN_PHP[holes]
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_3cnf(self, seed):
+        assert _one_shot(random_3cnf(seed, 80)) == self.GOLDEN_RANDOM[seed]
+
+    def test_incremental_sequence(self):
+        assert _incremental_sequence() == self.GOLDEN_INCREMENTAL
 
 
 class TestLuby:
