@@ -67,7 +67,6 @@ from repro.formula.dqdimacs import parse_dqdimacs, write_dqdimacs
 from repro.pec.families import make_comp
 from repro.service import ServiceClient, ServiceConfig, ServiceServer, WorkerPool
 from repro.service.cache import ResultCache
-from repro.service.pool import DEFAULT_SOLVER_OPTIONS
 
 from bench_service import start_server
 
@@ -139,7 +138,7 @@ def ground_truth(uniques) -> List[Dict[str, object]]:
     truths = []
     for _family, text in uniques:
         formula = parse_dqdimacs(text)
-        solver = HqsSolver(HqsOptions(**DEFAULT_SOLVER_OPTIONS))
+        solver = HqsSolver(HqsOptions())
         result = solver.solve(formula, Limits(time_limit=60.0))
         assert result.status in (SAT, UNSAT), result.status
         truths.append({

@@ -1,12 +1,13 @@
-"""Solver service benchmark: front door + cache + warm pool vs cold solving.
+"""Solver service benchmark: front door + cache + worker pool vs cold solving.
 
 A PEC regression workload hammers the same few circuits over and over —
 re-verification after every edit, duplicate submissions from concurrent
 CI shards.  The service answers repeats from the fingerprint-keyed
 result cache and coalesces duplicates that arrive while the first solve
-is still running; only genuinely new formulas reach the warm worker
-pool.  The baseline is what the code did before the service existed:
-parse and solve every request from scratch, one solver per request.
+is still running; only genuinely new formulas reach the worker pool,
+whose long-lived processes solve them with the batch configuration.
+The baseline is what the code did before the service existed: parse
+and solve every request from scratch, one solver per request.
 
 This benchmark replays a **90%-repeat workload** (N requests drawn from
 K = N/10 unique instances) through a real :class:`ServiceServer` on an
@@ -20,7 +21,8 @@ identical schedule against two cold baselines:
   improvement** (3x in quick mode, where the request count is too
   small to amortize startup).
 * ``cold_inprocess`` — a fresh :class:`HqsSolver` per request inside
-  one warm interpreter.  This isolates the cache/warm-pool effect from
+  one warm interpreter, with the same solver configuration as the
+  workers.  This isolates the cache and deduplication effect from
   process startup.  Note the arithmetic cap: with exactly 90% repeats
   this baseline can never show more than ``N/K = 10x`` on a
   single-core host (the K misses cost the same in both modes), so it
@@ -54,7 +56,6 @@ from repro.core.result import Limits, SAT, UNSAT
 from repro.formula.dqdimacs import parse_dqdimacs, write_dqdimacs
 from repro.pec.families import make_comp
 from repro.service import ServiceClient, ServiceConfig, ServiceServer, WorkerPool
-from repro.service.pool import DEFAULT_SOLVER_OPTIONS
 
 QUICK = os.environ.get("REPRO_BENCH_SERVICE_QUICK", "") not in ("", "0")
 NUM_REQUESTS = 30 if QUICK else 80
@@ -211,16 +212,15 @@ def _load_log_keys(log_path: str) -> List[str]:
 def run_cold_inprocess_mode(uniques, schedule) -> Dict[str, object]:
     """Fresh parse + fresh solver per request, one warm interpreter.
 
-    Same solver options as the warm workers so the measured gap is the
-    service machinery (cache, dedup, warm sessions) and not a config
-    difference.
+    Same solver options as the pool workers so the measured gap is the
+    service machinery (cache, dedup) and not a config difference.
     """
     latencies = []
     started = time.perf_counter()
     for index in schedule:
         _family, text = uniques[index]
         t0 = time.perf_counter()
-        solver = HqsSolver(HqsOptions(**DEFAULT_SOLVER_OPTIONS))
+        solver = HqsSolver(HqsOptions())
         result = solver.solve(parse_dqdimacs(text), Limits(time_limit=TIMEOUT))
         assert result.status in (SAT, UNSAT)
         latencies.append(time.perf_counter() - t0)

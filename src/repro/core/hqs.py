@@ -34,7 +34,7 @@ from ..errors import (
     StageBudgetExceeded,
     TimeoutExceeded,
 )
-from ..sat.incremental import AigSatSession, SatServiceStats
+from ..sat.incremental import AigSatSession
 from ..formula.dqbf import Dqbf
 from ..formula.lits import var_of
 from ..qbf.aigsolve import QbfSolverStats, solve_aig_qbf
@@ -109,6 +109,8 @@ class HqsOptions:
         # rounds.  Off = the historical fresh-solver-per-query
         # discipline, kept for the satsweep benchmark's baseline.
         self.use_sat_session = use_sat_session
+        # Clause budget of that session within one solve (every solve
+        # builds its own session; nothing carries over between solves).
         self.sat_session_max_clauses = sat_session_max_clauses
         # "copies" orders elimination candidates by the number of
         # existential copies (the paper's heuristic); "growth" by the
@@ -145,28 +147,14 @@ class HqsSolver:
         self,
         options: Optional[HqsOptions] = None,
         trace: bool = False,
-        sat_session: Optional[AigSatSession] = None,
     ):
         self.options = options or HqsOptions()
         self.stats: Dict[str, float] = {}
         self.trace: List[str] = []
         self._tracing = trace
         self._kernel_counters = None
-        # A caller-owned session (warm worker pool): rebound to this
-        # solve's AIG instead of creating a fresh solver, so learned
-        # clauses and input variables survive across *requests*, not
-        # just across sweeps within one solve.  Stats are exported as
-        # per-solve deltas; ``sat_warm_learnts`` records how many
-        # learned clauses the solve inherited.
-        self._shared_session = sat_session
         self._sat_session: Optional[AigSatSession] = None
-        self._sat_stats_base: Dict[str, int] = {}
         self._fraig_engine: Optional[FraigEngine] = None
-
-    @property
-    def sat_session(self) -> Optional[AigSatSession]:
-        """The SAT session of the last solve (for warm-pool stashing)."""
-        return self._sat_session
 
     def _trace(self, message: str) -> None:
         if self._tracing:
@@ -396,24 +384,12 @@ class HqsSolver:
         # use_sat_session=False it degrades to a fresh solver per query
         # while keeping the same counters (the benchmark baseline).
         # Every query charges its conflicts to the guard.
-        shared = self._shared_session
-        if shared is not None and self.options.use_sat_session:
-            self._sat_stats_base = shared.stats.as_dict()
-            shared.guard = guard
-            shared.max_clauses = self.options.sat_session_max_clauses
-            self._sat_session = shared.rebind(state.aig)
-            # Recorded *after* the rebind: a clause-budget reset during
-            # rebinding means the solve inherited nothing after all.
-            self.stats["sat_warm_learnts"] = shared.solver.num_learnts
-        else:
-            self.stats["sat_warm_learnts"] = 0
-            self._sat_stats_base = {}
-            self._sat_session = AigSatSession(
-                state.aig,
-                persistent=self.options.use_sat_session,
-                max_clauses=self.options.sat_session_max_clauses,
-                guard=guard,
-            )
+        self._sat_session = AigSatSession(
+            state.aig,
+            persistent=self.options.use_sat_session,
+            max_clauses=self.options.sat_session_max_clauses,
+            guard=guard,
+        )
         self._fraig_engine = FraigEngine(FraigOptions())
 
     # ------------------------------------------------------------------
@@ -760,39 +736,24 @@ class HqsSolver:
         )
 
     def _export_sat_stats(self) -> None:
-        """Publish the SAT session counters as ``sat_*`` stats fields.
-
-        A shared (warm) session accumulates over its whole lifetime;
-        what lands in this solve's stats is the *delta* since the
-        session was bound, so per-request counters stay comparable with
-        the fresh-session case.
-        """
+        """Publish the SAT session counters as ``sat_*`` stats fields."""
         session = self._sat_session
         if session is None:
             return
-        raw: SatServiceStats = session.stats
-        base = self._sat_stats_base
-        delta = {
-            key: value - base.get(key, 0) for key, value in raw.as_dict().items()
-        }
-        for key, value in delta.items():
+        raw = session.stats
+        for key, value in raw.as_dict().items():
             self.stats[f"sat_{key}"] = value
         self.stats["sat_session_persistent"] = int(session.persistent)
-        self.stats["sat_session_shared"] = int(session is self._shared_session)
         if self._fraig_engine is not None:
             self.stats["sat_fraig_sweeps"] = self._fraig_engine.sweeps
-        if self._shared_session is not None:
-            # The pool owns the session; do not keep charging its
-            # queries to this (finished) solve's guard.
-            self._shared_session.guard = None
-        if delta["queries"]:
+        if raw.queries:
             self._trace(
-                f"sat service: {delta['queries']} queries "
-                f"({delta['sat_answers']} SAT / {delta['unsat_answers']} UNSAT), "
-                f"{delta['conflicts']} conflicts, "
-                f"{delta['clauses_encoded']} clauses encoded, "
-                f"{delta['encode_cache_hits']} encode cache hits, "
-                f"{delta['counterexamples']} counterexamples absorbed"
+                f"sat service: {raw.queries} queries "
+                f"({raw.sat_answers} SAT / {raw.unsat_answers} UNSAT), "
+                f"{raw.conflicts} conflicts, "
+                f"{raw.clauses_encoded} clauses encoded, "
+                f"{raw.encode_cache_hits} encode cache hits, "
+                f"{raw.counterexamples} counterexamples absorbed"
             )
 
 

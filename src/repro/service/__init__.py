@@ -4,7 +4,7 @@ The batch pipeline (``hqs`` CLI, :func:`repro.core.solve_dqbf`) pays the
 full quantifier-elimination cost on every invocation.  Real PEC
 workloads are dominated by repeated and near-duplicate queries over the
 same circuit families, so this package keeps the expensive state alive
-between requests:
+between requests: results, checkpoints and warmed-up worker processes.
 
 :mod:`repro.service.protocol`
     the newline-delimited JSON request/response format shared by the
@@ -15,9 +15,10 @@ between requests:
     snapshots, so partially solved formulas resume instead of
     restarting);
 :mod:`repro.service.pool`
-    the warm worker pool — long-lived solver processes that keep one
-    :class:`~repro.sat.incremental.AigSatSession` per circuit family,
-    so learned clauses survive across requests;
+    the warm worker pool — long-lived solver processes that pay fork,
+    imports and interpreter warm-up once; each request is solved with
+    the batch solver's configuration and no solver state crosses
+    requests;
 :mod:`repro.service.server`
     the asyncio front door (``hqs-serve``) with in-flight request
     deduplication and graceful, checkpoint-draining shutdown;

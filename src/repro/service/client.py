@@ -392,7 +392,8 @@ def build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", help="solve a DQDIMACS file")
     solve.add_argument("file")
     solve.add_argument("--family", default=None,
-                       help="routing hint: same family -> same warm worker")
+                       help="routing hint: same family -> same worker "
+                            "process (affinity only)")
     solve.add_argument("--timeout", type=float, default=None,
                        help="per-request time budget (capped by the server)")
     solve.add_argument("--node-limit", type=int, default=None)

@@ -1,20 +1,20 @@
-"""Warm worker pool: long-lived solver processes with per-family state.
+"""Warm worker pool: long-lived solver processes.
 
 Adapted from the one-shot workers of :mod:`repro.experiments.parallel`
 (same fork context, same hard-kill discipline via :mod:`repro.proc`),
 but inverted: instead of one process per (instance, solver) pair, each
-:class:`WarmWorker` process lives across requests and keeps an
-:class:`~repro.sat.incremental.AigSatSession` per circuit family.  A
-second solve of a same-family formula therefore starts with the learned
-clauses, input variables and Tseitin encodings of the first — the
-``sat_warm_learnts`` stat of its result records how many learned
-clauses it inherited.
+:class:`WarmWorker` process lives across requests, so fork, imports and
+interpreter warm-up are paid once per worker, not once per request.
+Every request is solved by a fresh ``HqsSolver(HqsOptions())``, the
+batch solver's configuration and code path; no solver state crosses
+requests.
 
 Requests are routed by family affinity (CRC-32 of the family hint
-modulo pool size), so one family's warmth accumulates in one process;
-requests without a hint round-robin.  Each worker handles one request
-at a time — a per-worker lock serializes submitters, which is what the
-front door's executor threads block on.
+modulo pool size), so one family's requests land on one process; the
+hint is only an affinity key.  Requests without a hint round-robin.
+Each worker handles one request at a time — a per-worker lock
+serializes submitters, which is what the front door's executor threads
+block on.
 
 Failure handling goes beyond the benchmark runner's kill-and-respawn:
 
@@ -28,8 +28,8 @@ Failure handling goes beyond the benchmark runner's kill-and-respawn:
   pings idle workers and proactively respawns dead or wedged ones, so
   a crash between requests is healed before the next request pays for
   it; respawns after rapid deaths back off exponentially (base
-  doubling up to a cap) so a worker that dies on arrival — a poisoned
-  warm session, a broken import — cannot pin a CPU with a fork storm;
+  doubling up to a cap) so a worker that dies on arrival — a broken
+  import, an exhausted machine — cannot pin a CPU with a fork storm;
 * a **per-family circuit breaker** counts consecutive failures
   (worker death, hard kill) per routing family; past the threshold the
   family's requests fail fast with ``stats["circuit_open"]`` instead
@@ -53,27 +53,15 @@ import threading
 import time
 import traceback
 import zlib
-from collections import OrderedDict
 from typing import Dict, List, Optional
 
 from .. import faults
 from ..core.result import ERROR, TIMEOUT
 from ..proc import close_foreign_sockets, default_grace, mp_context, reap
 
-#: Families whose sessions a single worker keeps warm at once; beyond
-#: this the least recently used session is dropped (memory bound).
-MAX_FAMILY_SESSIONS = 8
-
 #: A worker that dies sooner than this after spawning counts as a
 #: "rapid death" and escalates the respawn backoff.
 RAPID_DEATH_WINDOW = 5.0
-
-#: Solver options of a warm worker (:class:`~repro.core.HqsOptions`
-#: keywords).  Unlike the paper's batch configuration, the service runs
-#: periodic FRAIG sweeps: the sweep's SAT miters are what seed the
-#: session with learned clauses and counterexample patterns worth
-#: keeping warm for the next same-family request.
-DEFAULT_SOLVER_OPTIONS = {"fraig_interval": 1}
 
 
 # ----------------------------------------------------------------------
@@ -87,13 +75,8 @@ def _safe_send(conn, payload: Dict[str, object]) -> None:
         pass
 
 
-def _solve_message(
-    message: Dict[str, object],
-    sessions: "OrderedDict[str, object]",
-    options_kwargs: Dict[str, object],
-    max_family_sessions: int,
-) -> Dict[str, object]:
-    """Run one solve request against the (possibly warm) family session."""
+def _solve_message(message: Dict[str, object]) -> Dict[str, object]:
+    """Run one solve request with the batch solver's configuration."""
     started = time.monotonic()
     # Chaos hook: crash/wedge/slow are enacted here; a ``clock`` fault
     # collapses the request's time budget so the ResourceGuard trips
@@ -111,23 +94,15 @@ def _solve_message(
         from ..formula.dqdimacs import parse_dqdimacs
 
         formula = parse_dqdimacs(str(message["formula"]))
-        family = str(message.get("family") or "_default")
-        session = sessions.pop(family, None)
-        solver = HqsSolver(HqsOptions(**options_kwargs), sat_session=session)
         limits = Limits(
             time_limit=message.get("time_limit"),
             node_limit=message.get("node_limit"),
         )
-        result = solver.solve(
+        result = HqsSolver(HqsOptions()).solve(
             formula, limits, checkpoint=message.get("checkpoint")
         )
-        if solver.sat_session is not None and solver.sat_session.persistent:
-            sessions[family] = solver.sat_session
-            while len(sessions) > max_family_sessions:
-                sessions.popitem(last=False)
         payload = result.as_dict()
         payload["worker_pid"] = os.getpid()
-        payload["warm"] = int(session is not None)
         return payload
     except BaseException:
         return {
@@ -139,8 +114,7 @@ def _solve_message(
 
 
 def _worker_main(
-    conn, options_kwargs: Dict[str, object], max_family_sessions: int,
-    fault_plan=None, fault_offsets: Optional[Dict[str, int]] = None,
+    conn, fault_plan=None, fault_offsets: Optional[Dict[str, int]] = None,
 ) -> None:
     """Request loop of one warm worker process.
 
@@ -159,7 +133,6 @@ def _worker_main(
     if plan is not None:
         for site, count in (fault_offsets or {}).items():
             plan.advance(site, count)
-    sessions: "OrderedDict[str, object]" = OrderedDict()
     solves = 0
     while True:
         try:
@@ -171,17 +144,12 @@ def _worker_main(
             _safe_send(conn, {"ok": True, "solves": solves})
             break
         if op == "ping":
-            _safe_send(
-                conn,
-                {"ok": True, "pid": os.getpid(), "families": list(sessions)},
-            )
+            _safe_send(conn, {"ok": True, "pid": os.getpid()})
         elif op == "stall":  # test hook: a solver stuck in native code
             time.sleep(float(message.get("seconds", 0.0)))
             _safe_send(conn, {"ok": True})
         elif op == "solve":
-            payload = _solve_message(
-                message, sessions, options_kwargs, max_family_sessions
-            )
+            payload = _solve_message(message)
             solves += 1
             _safe_send(conn, payload)
         else:
@@ -207,14 +175,10 @@ class WarmWorker:
     seeded chaos schedules meaningful when workers die mid-plan.
     """
 
-    def __init__(self, ctx, options_kwargs: Dict[str, object],
-                 max_family_sessions: int,
-                 fault_plan=None,
+    def __init__(self, ctx, fault_plan=None,
                  backoff_base: float = 0.05,
                  backoff_cap: float = 2.0):
         self._ctx = ctx
-        self._options_kwargs = options_kwargs
-        self._max_family_sessions = max_family_sessions
         self._fault_plan = fault_plan
         self.backoff_base = backoff_base
         self.backoff_cap = backoff_cap
@@ -231,8 +195,8 @@ class WarmWorker:
         self.conn = parent
         self.process = self._ctx.Process(
             target=_worker_main,
-            args=(child, self._options_kwargs, self._max_family_sessions,
-                  self._fault_plan, {"pool.solve": self.solve_requests}),
+            args=(child, self._fault_plan,
+                  {"pool.solve": self.solve_requests}),
             daemon=True,
         )
         self.process.start()
@@ -270,7 +234,7 @@ class WarmWorker:
                    self.backoff_base * (2 ** self.rapid_deaths))
 
     def recycle(self) -> None:
-        """Kill (if needed) and respawn — warm state is lost, slot survives."""
+        """Kill (if needed) and respawn — the process is new, the slot survives."""
         if self.process.is_alive():
             self.process.terminate()
         reap(self.process, self.conn)
@@ -301,9 +265,7 @@ class WorkerPool:
     def __init__(
         self,
         size: int = 2,
-        options_kwargs: Optional[Dict[str, object]] = None,
         grace: Optional[float] = None,
-        max_family_sessions: int = MAX_FAMILY_SESSIONS,
         fault_plan=None,
         heartbeat_interval: Optional[float] = None,
         breaker_threshold: int = 5,
@@ -316,13 +278,9 @@ class WorkerPool:
         self.size = size
         self.grace = grace
         self._ctx = mp_context()
-        self._options_kwargs = dict(
-            DEFAULT_SOLVER_OPTIONS if options_kwargs is None else options_kwargs
-        )
         self.fault_plan = fault_plan
         self._workers: List[WarmWorker] = [
-            WarmWorker(self._ctx, self._options_kwargs, max_family_sessions,
-                       fault_plan=fault_plan,
+            WarmWorker(self._ctx, fault_plan=fault_plan,
                        backoff_base=backoff_base, backoff_cap=backoff_cap)
             for _ in range(size)
         ]
@@ -475,11 +433,10 @@ class WorkerPool:
         node_limit: Optional[int] = None,
         checkpoint: Optional[str] = None,
     ) -> Dict[str, object]:
-        """Solve DQDIMACS text on the family's warm worker (blocking)."""
+        """Solve DQDIMACS text on the family's worker (blocking)."""
         message: Dict[str, object] = {
             "op": "solve",
             "formula": formula,
-            "family": family,
             "time_limit": time_limit,
             "node_limit": node_limit,
             "checkpoint": checkpoint,

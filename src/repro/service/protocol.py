@@ -15,7 +15,8 @@ pipeline).  Operations:
 
 ``solve``
     ``formula`` (DQDIMACS text, required), ``family`` (optional routing
-    hint — requests with the same family reach the same warm worker),
+    hint — requests with the same family reach the same worker process;
+    it is an affinity key only, no solver state crosses requests),
     ``timeout`` / ``node_limit`` (optional per-request budgets, capped
     by the server's own limits), ``no_cache`` (optional bool: bypass
     the result cache, used by benchmarks to measure the cold path).

@@ -291,7 +291,7 @@ class SolverService:
     ) -> Dict[str, object]:
         response = ok_response(message, fingerprint=fingerprint, cache=cache)
         for key in ("status", "runtime", "stats", "failure", "error",
-                    "worker_pid", "warm"):
+                    "worker_pid"):
             if key in payload:
                 response[key] = payload[key]
         return response

@@ -19,6 +19,7 @@ import time
 import pytest
 
 from repro import durable
+from repro.core.hqs import HqsSolver
 from repro.formula.dqdimacs import parse_dqdimacs, write_dqdimacs
 from repro.pec.families import make_adder, make_comp
 from repro.core.checkpoint import formula_fingerprint
@@ -143,17 +144,22 @@ class TestWorkerPool:
             payload = pool.solve(family_text(buggy=False), family="adder")
             assert payload["status"] == "SAT"
 
-    def test_warm_session_reuses_learned_clauses(self):
-        """Two same-family solves: the second inherits learned clauses."""
+    def test_worker_solves_like_batch(self):
+        """A worker solve is a batch solve: same configuration, and no
+        solver state carries over to the next same-family request."""
+        text = family_text()
+        batch = HqsSolver().solve(parse_dqdimacs(text))
         with WorkerPool(size=1) as pool:
-            first = pool.solve(family_text(seed=5), family="adder")
-            second = pool.solve(family_text(seed=7), family="adder")
-        assert first["status"] == "UNSAT" and second["status"] == "UNSAT"
-        assert first["warm"] == 0 and second["warm"] == 1
+            first = pool.solve(text, family="adder")
+            second = pool.solve(text, family="adder")
         assert first["worker_pid"] == second["worker_pid"]
-        assert first["stats"]["sat_warm_learnts"] == 0
-        assert second["stats"]["sat_warm_learnts"] > 0
-        assert second["stats"]["sat_session_shared"] == 1.0
+        for reply in (first, second):
+            assert reply["status"] == batch.status
+            assert "warm" not in reply
+            assert reply["stats"]["sat_fraig_sweeps"] == 0
+            for key in ("kernel_nodes_visited", "sat_queries", "sat_conflicts",
+                        "universal_eliminations", "qbf_cegar_rounds"):
+                assert reply["stats"][key] == batch.stats[key], key
 
     def test_family_routing_is_stable(self):
         with WorkerPool(size=3) as pool:
