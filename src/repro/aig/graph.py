@@ -87,10 +87,12 @@ class KernelCounters:
     ``nodes_visited`` counts every node processed by a rebuild-style
     pass (``rebuild``, ``restrict``, ``cofactor2``, fused elimination);
     ``nodes_shared`` counts nodes a fused pass reused verbatim instead
-    of rebuilding.  Support-cache fills are cheap set operations, not
-    rebuild work, and are accounted separately as
-    ``support_cache_misses``.  The strash and cache counters feed the
-    hit-rate statistics exported by the solvers.
+    of rebuilding.  A ``restrict`` call with a :class:`RestrictMemo`
+    counts neither for the nodes whose earlier result it reuses.
+    Support-cache fills are cheap set operations, not rebuild work, and
+    are accounted separately as ``support_cache_misses``.  The strash
+    and cache counters feed the hit-rate statistics exported by the
+    solvers.
     """
 
     _FIELDS = (
@@ -154,6 +156,25 @@ def is_complemented(edge: int) -> bool:
 
 def complement(edge: int) -> int:
     return edge ^ 1
+
+
+class RestrictMemo:
+    """What :meth:`Aig.restrict` leaves for its next call on one root.
+
+    ``cache`` maps each node of the root's cone that depends on a
+    restricted variable, and each fanin of such a node, to its result
+    under ``assignment`` (the last call's values).  Each call merges its
+    results into the same map, so an entry a call skipped stays
+    available to a later call that has to rebuild above it.  A memo
+    serves one root and one variable set in one manager.
+    """
+
+    __slots__ = ("root", "assignment", "cache")
+
+    def __init__(self) -> None:
+        self.root = -1
+        self.assignment: Optional[Dict[int, bool]] = None
+        self.cache: Dict[int, int] = {}
 
 
 class Aig:
@@ -634,23 +655,70 @@ class Aig:
         counters.strash_lookups += lookups
         counters.strash_hits += hits
 
-    def restrict(self, root: int, assignment: Dict[int, bool]) -> int:
+    def restrict(
+        self, root: int, assignment: Dict[int, bool], memo: Optional[RestrictMemo] = None
+    ) -> int:
         """Substitute constants for several external variables in one pass.
 
         Unlike ``rebuild``, the traversal never descends into (and never
         re-strashes) a node whose cone is disjoint from ``assignment`` —
         such nodes are *shared* with the original cone.  Equivalent to a
         chain of :meth:`cofactor` calls, in a single traversal.
+
+        ``memo`` carries results from one call to the next on the same
+        ``root`` and the same variables (see :class:`RestrictMemo`).
+        After the first call, only the nodes whose cone contains a
+        variable whose value changed are rebuilt; every other node takes
+        the result an earlier call left.  A skipped subtree's results
+        are all strash hits in a plain call, so the returned edge, the
+        appended nodes and their order are exactly those of a plain
+        call.  Reused nodes are not visited and not counted: the
+        counters record only the nodes the call rebuilds or shares anew.
         """
         if root < 2 or not assignment:
             return root
-        # depends[node]: the cone of node contains a substituted variable
+        if memo is None or memo.assignment is None:
+            cache: Dict[int, int] = {0: FALSE}
+            if memo is not None:
+                memo.root, memo.assignment, memo.cache = root, dict(assignment), cache
+            # depends[node]: the cone of node contains a substituted variable
+            depends = self._depends_mask(assignment)
+            if not depends[root >> 1]:
+                return root
+            return self._restrict_pass(root, assignment, depends, cache)
+        previous = memo.assignment
+        if memo.root != root or previous.keys() != assignment.keys():
+            raise ValueError("a restrict memo serves one root and one variable set")
+        changed = [v for v, value in assignment.items() if previous[v] != value]
+        memo.assignment = dict(assignment)
+        cache = memo.cache
+        depends = self._depends_mask(changed) if changed else None
+        if depends is None or not depends[root >> 1]:
+            result = cache.get(root >> 1)
+            return root if result is None else result ^ (root & 1)
+        # Every node outside ``changed``'s cones keeps its result, so only
+        # the cached entries that depend on ``changed`` go, and the pass
+        # rebuilds exactly those.
+        fanin0, fanin1 = self._fanin0, self._fanin1
+        forget = cache.pop
+        stack = [root >> 1]
+        while stack:
+            node = stack.pop()
+            if depends[node] and forget(node, None) is not None and fanin0[node] >= 0:
+                stack.append(fanin0[node] >> 1)
+                stack.append(fanin1[node] >> 1)
+        return self._restrict_pass(root, assignment, depends, cache)
+
+    def _depends_mask(self, labels: Iterable[int]):
+        """``mask[node]``: the cone of ``node`` contains one of ``labels``."""
         if self.backend == "numpy":
-            depends = self._np.depends_mask(assignment)
-        else:
-            depends = _SupportMask(self.support_of, frozenset(assignment))
-        if not depends[root >> 1]:
-            return root
+            return self._np.depends_mask(labels)
+        return _SupportMask(self.support_of, frozenset(labels))
+
+    def _restrict_pass(
+        self, root: int, assignment: Dict[int, bool], depends, cache: Dict[int, int]
+    ) -> int:
+        """The rebuild loop of :meth:`restrict`, filling ``cache``."""
         fanin0, fanin1, labels, level = self._fanin0, self._fanin1, self._input_label, self._level
         # Inline strash (see ``land``): the AND step appends straight to
         # the node arrays, counting work in locals until the pass ends.
@@ -659,7 +727,6 @@ class Aig:
         strash = self._strash
         strash_get = strash.get
         visited = shared = lookups = hits = 0
-        cache: Dict[int, int] = {0: FALSE}
         stack = [root >> 1]
         while stack:
             node = stack[-1]

@@ -29,13 +29,29 @@ complement.  All SAT queries go through one private
 :data:`CONFLICT_BUDGET` conflicts, none more than
 :data:`CALL_CONFLICT_LIMIT`; past that, :func:`solve_cegar` answers
 ``None`` and the caller falls back to expansion.
+
+**Later rounds do not pay for earlier ones.**  Every round encodes new
+restricted copies into the one solver, which ends up holding several
+times the variables of any one query.  Two things keep a round's cost
+to what its own query needs:
+
+* the session decides only inside the queried root's cone, so a SAT
+  answer never has to assign the copies of other frames or rounds;
+* each frame of :meth:`_Game.solve` keeps one
+  :class:`~repro.aig.graph.RestrictMemo` per restriction site: the
+  candidate's ``restrict(root, τ)`` and the counter-move's inside
+  :meth:`_Game._instance`.  Within a frame the root and the restricted
+  variables are fixed, so a round rebuilds only the nodes that depend
+  on a variable whose value changed since the previous round; the
+  result is the same edge a plain call returns.  A memo lives as long
+  as its frame; nothing is cached across :func:`solve_cegar` calls.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from ..aig.graph import FALSE, TRUE, Aig
+from ..aig.graph import FALSE, TRUE, Aig, RestrictMemo
 from ..core.guard import ResourceGuard
 from ..formula.prefix import EXISTS, FORALL
 from ..sat.incremental import AigSatSession
@@ -78,8 +94,8 @@ def solve_cegar(
     deadline bounds every SAT call, and the SAT conflicts are charged to
     it.  Its exhaustion raises as usual and never yields ``None``.
     ``sat_session`` only lends its counters: the queries run on a
-    private solver, because the copies of variables CEGAR introduces
-    would burden every later query of a shared one.
+    private solver, because the clauses of the copies CEGAR introduces
+    would stay in a shared one's database for the rest of the solve.
     """
     guard = ResourceGuard.ensure(limits)
     if stats is None:
@@ -140,11 +156,16 @@ class _Game:
         counters: List[Move] = []
         abstract_seeds: List[Move] = []
         reply_seeds: List[Move] = []
+        # ``root``, ``outer`` and ``opponent`` are fixed for the frame, so
+        # each restriction site redoes only what the new values change.
+        candidate_memo, move_memo = RestrictMemo(), RestrictMemo()
         pending = list(seeds)
         while True:
             guard.check()
             for move in pending:
-                instance = self._instance(root, opponent, move, inner, abstract_blocks)
+                instance = self._instance(
+                    root, opponent, move, inner, abstract_blocks, move_memo
+                )
                 abstraction = aig.land(abstraction, instance)
                 counters.append(move)
             if abstraction == FALSE:
@@ -159,7 +180,7 @@ class _Game:
                 return None, counters
             tau = {x: candidate.get(x, False) for x in outer}
             counter, reply_seeds = self.solve(
-                aig.restrict(root, tau) ^ 1, reply, reply_seeds
+                aig.restrict(root, tau, candidate_memo) ^ 1, reply, reply_seeds
             )
             if counter is None:
                 return tau, counters
@@ -172,6 +193,7 @@ class _Game:
         move: Move,
         inner: List[Block],
         abstract_blocks: List[Block],
+        memo: RestrictMemo,
     ) -> int:
         """``root`` under the opponent's ``move``, inner blocks renamed fresh.
 
@@ -180,7 +202,7 @@ class _Game:
         abstraction block ``k``.
         """
         aig = self.aig
-        instance = aig.restrict(root, {y: move.get(y, False) for y in opponent})
+        instance = aig.restrict(root, {y: move.get(y, False) for y in opponent}, memo)
         if not inner or instance in (TRUE, FALSE):
             return instance
         mapping: Dict[int, int] = {}

@@ -16,6 +16,16 @@ FRAIG sweeping (Mishchenko et al.) and clausal-abstraction QBF solvers:
 * **assumption-based queries.**  Nothing is asserted permanently, so
   miter, constant and implication questions about arbitrary roots can
   be interleaved freely on the same solver.
+* **cone-scoped decisions.**  Every query decides only inside its
+  roots' cones (``CdclSolver.solve(decide=...)``): ``is_satisfiable``
+  the cone of its root, ``implies`` and ``equivalent`` the union of
+  both cones.  The variables come from the walk that encodes the cone;
+  a root an earlier query encoded is walked again.  A SAT answer
+  assigns the cone and may leave the rest of the solver — earlier
+  queries' cones, stale generations — unassigned, so a query costs
+  what its own cone needs, however much the solver holds.  Input
+  labels the answer left unassigned read ``False`` in
+  :meth:`model_inputs`.
 * **generation-aware rebinding.**  Elimination compacts (``extract``)
   and FRAIG rebuilds replace the manager; :meth:`rebind` drops only the
   per-node variable map.  External input labels keep their solver
@@ -31,7 +41,7 @@ which is what `benchmarks/bench_satsweep.py` compares against.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from ..errors import TimeoutExceeded
 from .solver import SAT, UNKNOWN, UNSAT, CdclSolver
@@ -176,22 +186,27 @@ class AigSatSession:
             self._input_var[label] = var
         return var
 
-    def lit_of(self, edge: int) -> int:
+    def _lit_of(self, edge: int, cone: List[int]) -> int:
         """Solver literal equisatisfiable with the function at ``edge``.
 
         Encodes exactly the not-yet-encoded part of the cone as a side
-        effect; nothing is asserted.
+        effect; nothing is asserted.  The solver variables of the whole
+        cone are appended to ``cone``, the query's decision scope: from
+        the encoding walk, or from a new walk when an earlier query
+        already encoded ``edge``.
         """
         node = edge >> 1
-        var = self._node_var.get(node)
+        node_var = self._node_var
+        var = node_var.get(node)
         if var is None:
-            self._encode_cone(edge)
-            var = self._node_var[node]
+            self._encode_cone(edge, cone)
+            var = node_var[node]
         else:
             self.stats.encode_cache_hits += 1
+            cone.extend([node_var[n] for n in self.aig.cone_nodes(edge)])
         return -var if edge & 1 else var
 
-    def _encode_cone(self, edge: int) -> None:
+    def _encode_cone(self, edge: int, cone: List[int]) -> None:
         aig = self.aig
         node_var = self._node_var
         stats = self.stats
@@ -200,6 +215,7 @@ class AigSatSession:
         for node in aig.cone_nodes(edge):
             if node in node_var:
                 stats.encode_cache_hits += 1
+                cone.append(node_var[node])
                 continue
             if node == 0:
                 var = solver.new_var()
@@ -222,6 +238,7 @@ class AigSatSession:
                 stats.clauses_encoded += 3
             node_var[node] = var
             stats.nodes_encoded += 1
+            cone.append(var)
 
     # ------------------------------------------------------------------
     # queries (assumption-based; nothing is ever asserted)
@@ -229,9 +246,11 @@ class AigSatSession:
     def _solve(
         self,
         assumptions,
+        cone: List[int],
         conflict_limit: Optional[int] = None,
         deadline: Optional[float] = None,
     ) -> str:
+        """One solver call that decides only on the variables of ``cone``."""
         solver = self._solver
         stats = self.stats
         conflicts = solver.conflicts
@@ -240,7 +259,7 @@ class AigSatSession:
         stats.queries += 1
         stats.learnts_reused += solver.num_learnts
         status = solver.solve(
-            assumptions, conflict_limit=conflict_limit, deadline=deadline
+            assumptions, conflict_limit=conflict_limit, deadline=deadline, decide=cone
         )
         spent = solver.conflicts - conflicts
         stats.conflicts += spent
@@ -275,8 +294,9 @@ class AigSatSession:
             return True
         if not self.persistent:
             self._fresh_solver()
+        cone: List[int] = []
         status = self._solve(
-            [self.lit_of(root)], conflict_limit=conflict_limit, deadline=deadline
+            [self._lit_of(root, cone)], cone, conflict_limit=conflict_limit, deadline=deadline
         )
         if status == UNKNOWN:
             if conflict_limit is None:
@@ -299,8 +319,9 @@ class AigSatSession:
             return True
         if not self.persistent:
             self._fresh_solver()
+        cone: List[int] = []
         status = self._solve(
-            [self.lit_of(a), -self.lit_of(b)], conflict_limit=conflict_limit
+            [self._lit_of(a, cone), -self._lit_of(b, cone)], cone, conflict_limit=conflict_limit
         )
         if status == UNKNOWN:
             return None
@@ -321,13 +342,14 @@ class AigSatSession:
             return False if a in (TRUE, FALSE) else self._refute_complement(a)
         if not self.persistent:
             self._fresh_solver()
-        la, lb = self.lit_of(a), self.lit_of(b)
-        status = self._solve([la, -lb], conflict_limit=conflict_limit)
+        cone: List[int] = []
+        la, lb = self._lit_of(a, cone), self._lit_of(b, cone)
+        status = self._solve([la, -lb], cone, conflict_limit=conflict_limit)
         if status == SAT:
             return False
         if status == UNKNOWN:
             return None
-        status = self._solve([-la, lb], conflict_limit=conflict_limit)
+        status = self._solve([-la, lb], cone, conflict_limit=conflict_limit)
         if status == SAT:
             return False
         if status == UNKNOWN:
@@ -338,12 +360,14 @@ class AigSatSession:
         """``a`` vs ``!a``: syntactically antivalent, produce a witness model."""
         if not self.persistent:
             self._fresh_solver()
-        status = self._solve([self.lit_of(a)])
+        cone: List[int] = []
+        la = self._lit_of(a, cone)
+        status = self._solve([la], cone)
         if status == UNKNOWN:  # pragma: no cover - no limit passed
             return None
         if status == UNSAT:
             # a is constant false: refuted with the all-default assignment
-            status = self._solve([-self.lit_of(a)])
+            status = self._solve([-la], cone)
         return False
 
     def model_inputs(self) -> Dict[int, bool]:

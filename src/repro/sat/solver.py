@@ -24,6 +24,30 @@ and cores, in order) is part of the solver's behaviour — every layer
 above sees its models and cores — and ``TestTrajectoryOracle`` in
 ``tests/test_sat_solver.py`` pins it, so a rewrite may change only the
 constant factor.
+
+**Scoped calls.**  ``solve(decide=vars)`` branches only on ``vars`` and
+answers SAT as soon as each of them is assigned without a conflict;
+other variables may stay unassigned, and :meth:`CdclSolver.model` omits
+them.  This is sound for a query about one AIG cone, with ``vars`` the
+Tseitin variables of that cone:
+
+* at a conflict-free propagation fixpoint, every clause whose variables
+  are all assigned is satisfied (the two-watched-literal invariant: a
+  clause with all literals false would have been found conflicting);
+* every Tseitin clause of the cone mentions only cone variables;
+* so the cone's clauses are satisfied, and its input values satisfy the
+  queried root.
+
+The call decides in VSIDS order over a heap of ``vars`` alone, built in
+descending (activity, variable) order: among equal activities the most
+recently created variable, the cone's gate nearest the root, is decided
+first.  The sift loops keep their comparisons, which stop at an equal
+activity, so afterwards equal activities are served in heap order (a
+pop moves the heap's last entry, the oldest of such a run, to the
+root).  Variables outside the scope are marked ``-2`` in ``_heap_pos``
+and never re-enter the heap.  The next call without ``decide`` rebuilds
+the full heap, and a solver that is never scoped runs exactly as
+before.
 """
 
 from __future__ import annotations
@@ -88,7 +112,10 @@ class CdclSolver:
         self._cla_inc = 1.0
         self._cla_decay = 0.999
         self._order: List[int] = []            # lazy heap (indices = vars)
+        # Slot of each variable in ``_order``: -1 when popped (re-inserted
+        # on backtrack), -2 when outside a scoped call's ``decide`` set.
         self._heap_pos: List[int] = [-1]
+        self._scoped = False                   # ``_order`` holds a decide set
         self._ok = True
         self._model: Dict[int, bool] = {}
         self._conflicts = 0
@@ -187,6 +214,7 @@ class CdclSolver:
         assumptions: Sequence[int] = (),
         conflict_limit: Optional[int] = None,
         deadline: Optional[float] = None,
+        decide: Optional[Iterable[int]] = None,
     ) -> str:
         """Solve under assumptions.
 
@@ -198,6 +226,11 @@ class CdclSolver:
         from this call's entry, not over the solver's lifetime, so
         incremental sessions issuing many limited queries are not
         starved by earlier work.
+
+        ``decide`` scopes the call to the variables it may branch on
+        (see the module docstring): SAT is answered as soon as all of
+        them are assigned without a conflict, and :meth:`model` then
+        omits the variables left unassigned.
         """
         if not self._ok:
             return UNSAT
@@ -206,6 +239,10 @@ class CdclSolver:
         self._model = {}
         self._failed_assumptions = []
         self._backtrack(0)
+        if decide is not None:
+            self._scope_heap(decide)
+        elif self._scoped:
+            self._full_heap()
         assumption_encs = [_encode(lit) for lit in assumptions]
 
         restarts = 0
@@ -226,7 +263,11 @@ class CdclSolver:
                 return UNKNOWN
 
     def model(self) -> Dict[int, bool]:
-        """Return the satisfying assignment from the last :data:`SAT` answer."""
+        """Return the satisfying assignment from the last :data:`SAT` answer.
+
+        After a scoped call (``decide=``) it holds only the variables
+        that call assigned.
+        """
         return dict(self._model)
 
     def model_value(self, var: int) -> Optional[bool]:
@@ -316,7 +357,7 @@ class CdclSolver:
                     next_decision = self._pick_branch()
                     if next_decision is None:
                         self._model = {
-                            var: value == 1 for var, value in enumerate(val[2::2], 1)
+                            var: value == 1 for var, value in enumerate(val[2::2], 1) if value
                         }
                         return SAT
                     self._decisions += 1
@@ -585,7 +626,7 @@ class CdclSolver:
             val[enc ^ 1] = 0
             var = enc >> 1
             reason[var] = None
-            if heap_pos[var] < 0:
+            if heap_pos[var] == -1:
                 # Re-insert into the VSIDS heap: append, then sift up.
                 act = activity[var]
                 slot = len(order)
@@ -651,6 +692,33 @@ class CdclSolver:
             if val[top << 1] == 0:
                 return (top << 1) | (0 if self._polarity[top] else 1)
         return None
+
+    def _scope_heap(self, decide: Iterable[int]) -> None:
+        """Make ``_order`` a heap over ``decide`` alone (see the module docstring)."""
+        heap_pos = self._heap_pos
+        # Every unassigned variable is in the heap or already -2, so only
+        # the heap's entries need taking out of scope.
+        for var in self._order:
+            heap_pos[var] = -2
+        # Descending (activity, variable) order is a valid heap: sort by
+        # variable, then stably by activity.
+        order = sorted(set(decide), reverse=True)
+        order.sort(key=self._activity.__getitem__, reverse=True)
+        for slot, var in enumerate(order):
+            heap_pos[var] = slot
+        self._order = order
+        self._scoped = True
+
+    def _full_heap(self) -> None:
+        """Put every unassigned variable back in the heap after a scoped call."""
+        val = self._val
+        order = [var for var in range(1, self.num_vars + 1) if val[var << 1] == 0]
+        order.sort(key=self._activity.__getitem__, reverse=True)
+        heap_pos = self._heap_pos = [-1] * (self.num_vars + 1)
+        for slot, var in enumerate(order):
+            heap_pos[var] = slot
+        self._order = order
+        self._scoped = False
 
     def _rescale_activities(self) -> None:
         activity = self._activity

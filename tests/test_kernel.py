@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.aig.cnf_bridge import cnf_to_aig
-from repro.aig.graph import FALSE, TRUE, Aig, complement
+from repro.aig.graph import FALSE, TRUE, Aig, RestrictMemo, complement
 from repro.aig.unitpure import find_units
 from repro.core.elimination import eliminate_universal
 from repro.core.hqs import HqsOptions, HqsSolver
@@ -456,6 +456,85 @@ def ref_restrict(aig, root, assignment):
         counters.nodes_visited += 1
         stack.pop()
     return cache[root >> 1] ^ (root & 1)
+
+
+def restrict_memo_trail(backend, script, variables, values):
+    """Replay ``values`` as successive restrictions of one root on twin
+    managers, plainly and through one :class:`RestrictMemo`."""
+    plain, root = build_aig(script, backend)
+    memoized, twin_root = build_aig(script, backend)
+    assert root == twin_root
+    memo = RestrictMemo()
+    for bits in values:
+        assignment = dict(zip(variables, bits))
+        want = plain.restrict(root, assignment)
+        got = memoized.restrict(root, assignment, memo)
+        yield got, want, node_state(memoized)[:5], node_state(plain)[:5]
+
+
+class TestRestrictMemo:
+    """A memoized ``restrict`` redoes only what changed, and its edges and
+    appended nodes are exactly those of plain calls."""
+
+    @pytest.mark.parametrize(
+        "backend", ["python", pytest.param("numpy", marks=requires_numpy)]
+    )
+    @settings(max_examples=60, deadline=None)
+    @given(
+        script=aig_scripts(),
+        variables=st.lists(
+            st.integers(min_value=1, max_value=NUM_VARS), min_size=1, max_size=4, unique=True
+        ),
+        data=st.data(),
+    )
+    def test_matches_plain_calls(self, backend, script, variables, data):
+        values = data.draw(
+            st.lists(
+                st.tuples(*[st.booleans() for _ in variables]), min_size=1, max_size=8
+            )
+        )
+        for step, (got, want, got_nodes, want_nodes) in enumerate(
+            restrict_memo_trail(backend, script, variables, values)
+        ):
+            assert got == want, f"call {step} returned a different edge"
+            assert got_nodes == want_nodes, f"call {step} appended different nodes"
+
+    @pytest.mark.parametrize(
+        "backend", ["python", pytest.param("numpy", marks=requires_numpy)]
+    )
+    def test_third_call_reads_what_the_second_skipped(self, backend):
+        # root = !(x2 & x3) & !(x1 & x4), restricted on x1, x2, x3.  The
+        # second call changes only x1: it rebuilds (x1 & x4) and the root
+        # and reuses (x2 & x3).  The third changes x2, so it rebuilds
+        # (x2 & x3) from the constant for x3, which only the first call
+        # computed, and the root from the second call's (x1 & x4).
+        script = [(1, 2, False, False), (0, 3, False, False), (6, 7, True, True)]
+        variables = [1, 2, 3]
+        values = [(False, False, False), (True, False, False), (True, True, False)]
+        for got, want, got_nodes, want_nodes in restrict_memo_trail(
+            backend, script, variables, values
+        ):
+            assert got == want
+            assert got_nodes == want_nodes
+        aig, root = build_aig(script, backend)
+        memo = RestrictMemo()
+        for bits in values[:2]:
+            aig.restrict(root, dict(zip(variables, bits)), memo)
+        before = aig.counters.nodes_visited
+        aig.restrict(root, dict(zip(variables, values[2])), memo)
+        # x2, (x2 & x3) and the root; x3 and the x1 side are reused
+        assert aig.counters.nodes_visited - before == 3
+
+    def test_memo_is_tied_to_root_and_variables(self):
+        aig = Aig()
+        x, y, z = aig.var(1), aig.var(2), aig.var(3)
+        root = aig.land(x, aig.lor(y, z))
+        memo = RestrictMemo()
+        aig.restrict(root, {1: True}, memo)
+        with pytest.raises(ValueError):
+            aig.restrict(root, {2: True}, memo)
+        with pytest.raises(ValueError):
+            aig.restrict(aig.land(y, z), {1: True}, memo)
 
 
 def ref_cofactor2(aig, root, var):

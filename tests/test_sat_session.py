@@ -144,6 +144,69 @@ class TestSessionMatchesFreshSolver:
         assert session.stats.solver_resets == 1
 
 
+def edge_value(aig, edge, assignment):
+    if edge in (FALSE, TRUE):
+        return edge == TRUE
+    return aig.evaluate(edge, assignment)
+
+
+def brute_force_sat(aig, edge, variables):
+    return any(
+        edge_value(aig, edge, dict(zip(variables, values)))
+        for values in itertools.product([False, True], repeat=len(variables))
+    )
+
+
+class TestScopedQueries:
+    """Every session query decides only inside its roots' cones, so a SAT
+    answer leaves the rest of the solver unassigned.  The cone's input
+    values must still witness the query, and UNSAT must stay exact."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10**6), st.integers(4, 6))
+    def test_models_witness_and_refutations_are_exact(self, seed, num_inputs):
+        rng = random.Random(seed)
+        aig = Aig()
+        variables = list(range(1, num_inputs + 1))
+        edges = [random_edge(aig, rng, variables, 4) for _ in range(4)]
+        # Restricted copies pile variables into the one solver that no
+        # single query's cone contains.
+        for edge in list(edges):
+            for _ in range(3):
+                picked = rng.sample(variables, rng.randint(1, 2))
+                edges.append(aig.restrict(edge, {v: rng.random() < 0.5 for v in picked}))
+        session = AigSatSession(aig)
+
+        def model():
+            inputs = session.model_inputs()
+            return {v: inputs.get(v, False) for v in variables}
+
+        # Every cone is encoded first, so later queries run on a solver
+        # holding all of them.
+        queries = [("sat", edge, edge) for edge in edges]
+        for _ in range(30):
+            kind = rng.choice(["sat", "implies", "equivalent"])
+            queries.append((kind, rng.choice(edges), rng.choice(edges)))
+        for kind, a, b in queries:
+            if kind == "sat":
+                if session.is_satisfiable(a):
+                    assert edge_value(aig, a, model())
+                else:
+                    assert not brute_force_sat(aig, a, variables)
+            elif kind == "implies":
+                if session.implies(a, b):
+                    assert not brute_force_sat(aig, aig.land(a, complement(b)), variables)
+                else:
+                    witness = model()
+                    assert edge_value(aig, a, witness)
+                    assert not edge_value(aig, b, witness)
+            elif session.equivalent(a, b):
+                assert exhaustive_equivalent(aig, a, b, variables)
+            else:
+                witness = model()
+                assert edge_value(aig, a, witness) != edge_value(aig, b, witness)
+
+
 class TestFraigWithSession:
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10**6), st.booleans())

@@ -4,6 +4,7 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sat.simple import dpll_solve
 from repro.sat.solver import SAT, UNKNOWN, UNSAT, CdclSolver, _luby, solve_cnf
@@ -273,6 +274,57 @@ class TestTrajectoryOracle:
 
     def test_incremental_sequence(self):
         assert _incremental_sequence() == self.GOLDEN_INCREMENTAL
+
+
+class TestScopedDecisions:
+    """``solve(decide=...)`` branches only on the given variables and
+    answers SAT once they are all assigned without a conflict."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(cnf_strategy(), st.data())
+    def test_scoped_then_full_model(self, clauses, data):
+        variables = sorted({abs(lit) for clause in clauses for lit in clause})
+        decide = data.draw(st.lists(st.sampled_from(variables), unique=True)) if variables else []
+        solver = CdclSolver()
+        solver.add_clauses(clauses)
+        expected = dpll_solve(clauses) is not None
+        status = solver.solve(decide=decide)
+        if status == SAT:
+            model = solver.model()
+            assert all(var in model for var in decide)
+            scope = set(decide)
+            for clause in clauses:
+                if {abs(lit) for lit in clause} <= scope:
+                    assert any(model[abs(lit)] == (lit > 0) for lit in clause)
+        else:
+            assert status == UNSAT and not expected
+        # The next unscoped call decides over every variable again.
+        status = solver.solve()
+        assert (status == SAT) == expected
+        if status == SAT:
+            model = solver.model()
+            assert sorted(model) == list(range(1, solver.num_vars + 1))
+            for clause in clauses:
+                assert any(model[abs(lit)] == (lit > 0) for lit in clause)
+
+    def test_unassigned_variables_are_left_out(self):
+        solver = CdclSolver()
+        solver.add_clauses([[1, 2], [3, 4], [-3, -4]])
+        assert solver.solve(decide=[1, 2]) == SAT
+        assert set(solver.model()) == {1, 2}
+        assert solver.solve() == SAT
+        assert set(solver.model()) == {1, 2, 3, 4}
+
+    def test_tie_order(self):
+        # All activities are 0.  The heap starts newest first, so 3 is
+        # decided first (false, the saved phase); the pop moves the last
+        # entry, 1, to the root and the sift-down stops at equal
+        # activities, so 1 is next and 2 propagates true.
+        solver = CdclSolver()
+        solver.add_clause([1, 2, 3])
+        assert solver.solve(decide=[1, 2, 3]) == SAT
+        assert solver.model() == {1: False, 2: True, 3: False}
+        assert solver.decisions == 2
 
 
 class TestLuby:
