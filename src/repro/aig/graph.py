@@ -415,6 +415,30 @@ class Aig:
         fanin0 = self._fanin0
         return sum(1 for n in self._cone_nodes_ascending(root) if fanin0[n] >= 0)
 
+    def grow_cone(self, root: int, seen: Set[int]) -> int:
+        """Add the cone of ``root`` to ``seen``; return how many AND nodes were new.
+
+        ``seen`` must be a union of whole cones (as this method leaves
+        it), so the walk stops at any node already in it.  Summing the
+        returns over a sequence of roots whose cones contain each other
+        (a growing conjunction) keeps :meth:`cone_size` of the latest
+        root without walking the earlier cones again.
+        """
+        fanin0, fanin1 = self._fanin0, self._fanin1
+        added = 0
+        stack = [root >> 1]
+        while stack:
+            node = stack.pop()
+            if node in seen:
+                continue
+            seen.add(node)
+            f0 = fanin0[node]
+            if f0 >= 0:
+                added += 1
+                stack.append(f0 >> 1)
+                stack.append(fanin1[node] >> 1)
+        return added
+
     def support(self, root: int) -> Set[int]:
         """External variables the function of ``root`` structurally depends on.
 

@@ -14,7 +14,6 @@ test and the linearization below exploit this.
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import Dict, FrozenSet, List, Set, Tuple
 
 from ..formula.prefix import EXISTS, FORALL, BlockedPrefix, DependencyPrefix
@@ -36,25 +35,33 @@ def incomparable_pairs(prefix: DependencyPrefix) -> List[Tuple[int, int]]:
     """``C_psi``: unordered pairs with mutually incomparable dependency sets.
 
     By Theorem 4 these are exactly the binary cycles of the dependency
-    graph, and the graph is cyclic iff this list is non-empty.
+    graph, and the graph is cyclic iff this list is non-empty.  Pairs
+    come in :func:`itertools.combinations` order of the existentials;
+    comparability is decided once per pair of distinct sets.
     """
-    pairs = []
     existentials = prefix.existentials
-    deps = {y: prefix.dependencies(y) for y in existentials}
-    for y, y_prime in combinations(existentials, 2):
-        if not deps[y] <= deps[y_prime] and not deps[y_prime] <= deps[y]:
-            pairs.append((y, y_prime))
+    index: Dict[FrozenSet[int], int] = {}
+    group = [index.setdefault(prefix.dependencies(y), len(index)) for y in existentials]
+    sets = list(index)
+    incomparable = [
+        {j for j, other in enumerate(sets) if not (deps <= other or other <= deps)}
+        for deps in sets
+    ]
+    pairs = []
+    for a, y in enumerate(existentials):
+        against = incomparable[group[a]]
+        if against:
+            pairs.extend(
+                (y, existentials[b])
+                for b in range(a + 1, len(existentials))
+                if group[b] in against
+            )
     return pairs
 
 
 def is_acyclic(prefix: DependencyPrefix) -> bool:
     """Theorem 3/4 test: equivalent QBF prefix exists iff no incomparable pair."""
-    existentials = prefix.existentials
-    deps = {y: prefix.dependencies(y) for y in existentials}
-    for y, y_prime in combinations(existentials, 2):
-        if not deps[y] <= deps[y_prime] and not deps[y_prime] <= deps[y]:
-            return False
-    return True
+    return prefix.is_qbf_shaped()
 
 
 class PrefixAnalysis:

@@ -21,7 +21,7 @@ detection runs once at the end (as in the paper).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..formula.cnf import Cnf
 from ..formula.dqbf import Dqbf
@@ -191,31 +191,36 @@ def _propagate_units(
 
 
 def _universal_reduction(work: Dqbf, stats: PreprocessStats):
-    """Apply generalized universal reduction to every clause."""
-    prefix = work.prefix
+    """Apply generalized universal reduction to every clause.
+
+    A clause without a universal literal is kept as it is; only a clause
+    with one looks at its existentials' dependency sets.
+    """
+    universals = work.prefix.universal_set
+    dependencies = work.prefix.dependency_map
     new_clauses: List[Tuple[int, ...]] = []
     changed = False
     for clause in work.matrix:
-        existential_deps: Set[int] = set()
-        for lit in clause:
-            v = var_of(lit)
-            if prefix.is_existential(v):
-                existential_deps |= prefix.dependencies(v)
-        kept = []
-        for lit in clause:
-            v = var_of(lit)
-            if prefix.is_universal(v) and v not in existential_deps:
-                changed = True
-                stats.universal_reductions += 1
-                continue
-            kept.append(lit)
+        if universals.isdisjoint(map(abs, clause)):
+            if not clause:
+                return "UNSAT"
+            new_clauses.append(clause)
+            continue
+        visible = [dependencies[v] for v in map(abs, clause) if v in dependencies]
+        kept = tuple(
+            lit for lit in clause
+            if abs(lit) not in universals or any(abs(lit) in deps for deps in visible)
+        )
+        if len(kept) < len(clause):
+            changed = True
+            stats.universal_reductions += len(clause) - len(kept)
         if not kept:
             return "UNSAT"
-        new_clauses.append(tuple(kept))
+        new_clauses.append(kept)
     if changed:
         rebuilt = Cnf(num_vars=work.matrix.num_vars)
         for clause in new_clauses:
-            rebuilt.add_clause(clause)
+            rebuilt.add_canonical(clause)
         work.matrix = rebuilt
     return changed
 
@@ -227,13 +232,13 @@ def _substitute_one_equivalence(work: Dqbf, stats: PreprocessStats) -> bool:
     — this single pattern covers both ``a == b`` (via complementary
     literal polarities) and ``a == !b``.
     """
+    clause_set = work.matrix.clause_set
     binary = {c for c in work.matrix if len(c) == 2}
     for clause in binary:
         l1, l2 = clause
-        mirror = tuple(sorted((-l1, -l2), key=lambda l: (var_of(l), l < 0)))
-        if mirror in work.matrix:
-            if _apply_equivalence(work, l1, -l2, stats):
-                return True
+        # Negating both literals keeps the variable order: still canonical.
+        if (-l1, -l2) in clause_set and _apply_equivalence(work, l1, -l2, stats):
+            return True
     return False
 
 
@@ -270,13 +275,15 @@ def _apply_equivalence(work: Dqbf, lit_a: int, lit_b: int, stats: PreprocessStat
     replacement = keep_lit if drop_lit > 0 else -keep_lit
     rebuilt = Cnf(num_vars=work.matrix.num_vars)
     for clause in work.matrix:
-        new_clause = []
-        for lit in clause:
-            if var_of(lit) == drop:
-                new_clause.append(replacement if lit > 0 else -replacement)
-            else:
-                new_clause.append(lit)
-        rebuilt.add_clause(new_clause)
+        if drop not in clause and -drop not in clause:
+            rebuilt.add_canonical(clause)
+            continue
+        # The replacement moves a literal in the variable order (and may
+        # duplicate or complement another): normalize this clause again.
+        rebuilt.add_clause(
+            (replacement if lit > 0 else -replacement) if var_of(lit) == drop else lit
+            for lit in clause
+        )
     work.matrix = rebuilt
     work.prefix.remove_existential(drop)
     stats.equivalences_substituted += 1
@@ -302,58 +309,84 @@ def _subsumption(
     """
     guard = ResourceGuard.ensure(guard)
     check = guard.check
-    clauses = [frozenset(c) for c in work.matrix]
     changed = False
 
     # subsumption: shorter clauses first so survivors are minimal.  Each
     # kept clause is listed under its rarest literal; a subsuming kept
     # clause is a subset, so it is listed under some literal of the
-    # clause it subsumes.  An empty kept clause subsumes everything.
-    counts = work.matrix.literal_occurrences()
-    clauses.sort(key=len)
+    # clause it subsumes.  A clause of the same length subsumes only an
+    # equal one, so the kept clauses of the current length are held in
+    # ``same_length`` and listed once that length is finished.  An empty
+    # kept clause subsumes everything.
+    rarity = work.matrix.literal_occurrences().__getitem__
     kept: List[frozenset] = []
+    kept_tuples: List[Tuple[int, ...]] = []
     listed: Dict[int, List[frozenset]] = {}
+    same_length: Dict[frozenset, None] = {}
+    length = -1
     kept_empty = False
-    for clause in clauses:
+    for tup in sorted(work.matrix, key=len):
         check()
-        if kept_empty or any(
-            other <= clause for lit in clause for other in listed.get(lit, ())
-        ):
+        if len(tup) != length:
+            for clause in same_length:
+                listed.setdefault(min(clause, key=rarity), []).append(clause)
+            same_length = {}
+            length = len(tup)
+        clause = frozenset(tup)
+        if kept_empty or clause in same_length or (listed and any(
+            other <= clause for lit in tup for other in listed.get(lit, ())
+        )):
             stats.clauses_subsumed += 1
             changed = True
             continue
         kept.append(clause)
+        kept_tuples.append(tup)
         if clause:
-            listed.setdefault(min(clause, key=counts.__getitem__), []).append(clause)
+            same_length[clause] = None
         else:
             kept_empty = True
 
     # self-subsuming resolution (one sweep).  Clauses only shrink, so the
     # occurrence lists built up front stay supersets of the live ones.
+    # They run in ascending length, so until a clause shrinks the scan of
+    # a list can stop at the first clause longer than the one resolved.
     occurs: Dict[int, List[int]] = {}
     for i, clause in enumerate(kept):
         for lit in clause:
             occurs.setdefault(lit, []).append(i)
     live = list(kept)
-    for i, clause in enumerate(kept):
+    shrunk = False
+    for i, original in enumerate(kept):
         check()
-        for lit in list(clause):
-            rest = clause - {lit}
-            # given -lit in other: other - {-lit} <= rest iff other <= rest | {-lit}.
+        clause = original
+        for lit in original:
+            # given -lit in other: other - {-lit} <= clause - {lit} iff
+            # other <= clause ^ {lit, -lit}, which needs len(other) <= len(clause).
             # Clause i is not listed under -lit: the matrix has no tautologies.
-            resolvable = rest | {-lit}
+            resolvable = None
+            size = len(clause)
             for j in occurs.get(-lit, ()):
                 other = live[j]
-                if -lit in other and other <= resolvable:
-                    live[i] = clause = rest
+                if len(other) > size:
+                    if shrunk:
+                        continue
+                    break
+                if -lit not in other:
+                    continue
+                if resolvable is None:
+                    resolvable = clause ^ {lit, -lit}
+                if other <= resolvable:
+                    live[i] = clause = clause - {lit}
                     stats.literals_strengthened += 1
-                    changed = True
+                    changed = shrunk = True
                     break
 
     if changed:
+        # Unchanged clauses keep their canonical tuple; strengthened ones
+        # are sorted again.
         rebuilt = Cnf(num_vars=work.matrix.num_vars)
-        for clause in live:
-            rebuilt.add_clause(sorted(clause))
+        for clause, original, tup in zip(live, kept, kept_tuples):
+            rebuilt.add_canonical(tup if clause is original else tuple(sorted(clause, key=abs)))
         work.matrix = rebuilt
     return changed
 
@@ -369,26 +402,34 @@ def _detect_gates(work: Dqbf, stats: PreprocessStats) -> List[Gate]:
     removes their defining clauses from the matrix.
     """
     prefix = work.prefix
-    clause_set = set(work.matrix.clauses)
-
-    def canon(lits: Iterable[int]) -> Tuple[int, ...]:
-        return tuple(sorted(set(lits), key=lambda l: (var_of(l), l < 0)))
+    dependencies = prefix.dependency_map
+    matrix = work.matrix
+    clause_set = matrix.clause_set
+    # partners[l]: the literals m with a binary clause (l | m)
+    partners: Dict[int, Set[int]] = {}
+    for clause in matrix:
+        if len(clause) == 2:
+            a, b = clause
+            partners.setdefault(a, set()).add(b)
+            partners.setdefault(b, set()).add(a)
 
     candidates: List[Tuple[Gate, List[Tuple[int, ...]]]] = []
     used_outputs: Set[int] = set()
 
     # AND gates of arbitrary arity: clause (g | !l1 | ... | !lk) plus
     # binaries (!g | li).  Scanning each clause, each literal may act as g.
-    for clause in work.matrix:
+    for clause in matrix:
         if len(clause) < 3:
             continue
         for g_lit in clause:
-            g = var_of(g_lit)
-            if g in used_outputs or not prefix.is_existential(g):
+            g = abs(g_lit)
+            if g in used_outputs or g not in dependencies:
+                continue
+            mates = partners.get(-g_lit)
+            if mates is None or len(mates) < len(clause) - 1:
                 continue
             inputs = [-lit for lit in clause if lit != g_lit]
-            binaries = [canon((-g_lit, lit)) for lit in inputs]
-            if all(b in clause_set for b in binaries):
+            if all(lit in mates for lit in inputs):
                 if not _gate_dependency_ok(prefix, g, inputs):
                     continue
                 # g_lit <-> AND(inputs).  Normalize to a positive output.
@@ -396,46 +437,42 @@ def _detect_gates(work: Dqbf, stats: PreprocessStats) -> List[Gate]:
                     gate = Gate(g, "and", inputs)
                 else:
                     gate = Gate(g, "or", [-l for l in inputs])
-                defining = [canon(clause)] + binaries
-                candidates.append((gate, defining))
+                binaries = [
+                    (-g_lit, lit) if g < abs(lit) else (lit, -g_lit) for lit in inputs
+                ]
+                candidates.append((gate, [clause] + binaries))
                 used_outputs.add(g)
                 break
 
-    # Binary XOR gates: 4-clause pattern.
+    # Binary XOR gates: 4-clause pattern, the clause and its three
+    # variants with two literals negated (negation keeps them canonical).
     xor_seen: Set[int] = set(used_outputs)
-    for clause in work.matrix:
+    for clause in matrix:
         if len(clause) != 3:
             continue
+        l0, l1, l2 = clause
+        needed = [clause, (l0, -l1, -l2), (-l0, l1, -l2), (-l0, -l1, l2)]
+        if not all(c in clause_set for c in needed[1:]):
+            continue
         for g_lit in clause:
-            g = var_of(g_lit)
-            if g in xor_seen or not prefix.is_existential(g):
+            g = abs(g_lit)
+            if g in xor_seen or g not in dependencies:
                 continue
-            rest = [lit for lit in clause if lit != g_lit]
-            if len(rest) != 2 or any(var_of(l) == g for l in rest):
+            # g_lit | a | b present means: !g_lit -> (a | b) etc.
+            # Solving the pattern: g_lit == !(a xor b) == a xnor b.
+            a, b = [lit for lit in clause if lit != g_lit]
+            inputs = [a, b]
+            if not _gate_dependency_ok(prefix, g, inputs):
                 continue
-            a, b = rest
-            # Pattern for g == a xor b (up to input polarities):
-            needed = [
-                canon((g_lit, a, b)),
-                canon((g_lit, -a, -b)),
-                canon((-g_lit, a, -b)),
-                canon((-g_lit, -a, b)),
-            ]
-            if all(c in clause_set for c in needed):
-                # g_lit | a | b present means: !g_lit -> (a | b) etc.
-                # Solving the pattern: g_lit == !(a xor b) == a xnor b.
-                inputs = [a, b]
-                if not _gate_dependency_ok(prefix, g, inputs):
-                    continue
-                # g_lit <-> !(a xor b): express with xor by flipping one input.
-                if g_lit > 0:
-                    gate = Gate(g, "xor", [a, -b])
-                else:
-                    gate = Gate(g, "xor", [a, b])
-                candidates.append((gate, needed))
-                xor_seen.add(g)
-                used_outputs.add(g)
-                break
+            # g_lit <-> !(a xor b): express with xor by flipping one input.
+            if g_lit > 0:
+                gate = Gate(g, "xor", [a, -b])
+            else:
+                gate = Gate(g, "xor", [a, b])
+            candidates.append((gate, needed))
+            xor_seen.add(g)
+            used_outputs.add(g)
+            break
 
     accepted = _topologically_consistent(candidates)
     if not accepted:
@@ -444,10 +481,10 @@ def _detect_gates(work: Dqbf, stats: PreprocessStats) -> List[Gate]:
     removed: Set[Tuple[int, ...]] = set()
     for _gate, defining in accepted:
         removed.update(defining)
-    rebuilt = Cnf(num_vars=work.matrix.num_vars)
-    for clause in work.matrix:
-        if canon(clause) not in removed:
-            rebuilt.add_clause(clause)
+    rebuilt = Cnf(num_vars=matrix.num_vars)
+    for clause in matrix:
+        if clause not in removed:
+            rebuilt.add_canonical(clause)
     work.matrix = rebuilt
     stats.gates_detected += len(accepted)
     return [gate for gate, _ in accepted]
@@ -456,17 +493,19 @@ def _detect_gates(work: Dqbf, stats: PreprocessStats) -> List[Gate]:
 def _gate_dependency_ok(prefix: DependencyPrefix, output: int, inputs: Sequence[int]) -> bool:
     """Dependency compatibility: the gate function must be computable
     from the output's dependency set."""
-    d_out = prefix.dependencies(output)
+    universals = prefix.universal_set
+    dependencies = prefix.dependency_map
+    d_out = dependencies[output]
     for lit in inputs:
-        v = var_of(lit)
-        if prefix.is_universal(v):
+        v = abs(lit)
+        if v in universals:
             if v not in d_out:
                 return False
-        elif prefix.is_existential(v):
-            if not prefix.dependencies(v) <= d_out:
-                return False
         else:
-            return False
+            deps = dependencies.get(v)
+            # interned sets: equal sets are usually the same object
+            if deps is None or not (deps is d_out or deps <= d_out):
+                return False
     return True
 
 

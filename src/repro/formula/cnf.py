@@ -4,11 +4,22 @@ The DQBF/QBF containers keep their matrix in CNF until preprocessing
 finishes; afterwards the solvers switch to an AIG representation
 (:mod:`repro.aig`).  The class deliberately stays close to the DIMACS
 view of the world: clauses are tuples of integer literals.
+
+**Canonical once.**  Every stored clause is canonical: duplicate-free,
+not a tautology, and sorted by variable (one literal per variable, so
+this is the same order as sorting by variable, then polarity).
+:func:`normalize_clause` makes a clause canonical when it enters a
+database through :meth:`Cnf.add_clause`.  A clause derived from a
+canonical one by dropping literals is still canonical, so the
+transformations here and in :mod:`repro.core.preprocess` append such
+clauses with :meth:`Cnf.add_canonical`, which only deduplicates.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from collections import Counter
+from itertools import chain
+from typing import AbstractSet, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .lits import var_of
 
@@ -16,17 +27,17 @@ from .lits import var_of
 def normalize_clause(lits: Iterable[int]) -> Optional[Tuple[int, ...]]:
     """Sort and deduplicate a clause; return ``None`` if it is a tautology.
 
-    The result is a tuple sorted by variable then polarity, which makes
-    clause-set comparisons deterministic.
+    The result is a tuple sorted by variable (then polarity, which never
+    ties: a non-tautological clause has one literal per variable), which
+    makes clause-set comparisons deterministic.
     """
-    seen: Set[int] = set()
-    for lit in lits:
-        if lit == 0:
-            raise ValueError("0 is not a literal")
-        if -lit in seen:
-            return None
-        seen.add(lit)
-    return tuple(sorted(seen, key=lambda l: (var_of(l), l < 0)))
+    seen = set(lits)
+    if 0 in seen:
+        raise ValueError("0 is not a literal")
+    clause = sorted(seen, key=abs)
+    if len(set(map(abs, clause))) < len(clause):
+        return None
+    return tuple(clause)
 
 
 class Cnf:
@@ -53,11 +64,19 @@ class Cnf:
             return False
         self._clauses.append(clause)
         self._clause_set.add(clause)
-        for lit in clause:
-            v = var_of(lit)
-            if v > self.num_vars:
-                self.num_vars = v
+        if clause and abs(clause[-1]) > self.num_vars:
+            self.num_vars = abs(clause[-1])
         return True
+
+    def add_canonical(self, clause: Tuple[int, ...]) -> None:
+        """Insert an already canonical clause over known variables.
+
+        For clauses derived from this database's own (or a copy's) by
+        dropping literals: only deduplication is left to do.
+        """
+        if clause not in self._clause_set:
+            self._clauses.append(clause)
+            self._clause_set.add(clause)
 
     def extend(self, clauses: Iterable[Iterable[int]]) -> None:
         for clause in clauses:
@@ -81,6 +100,11 @@ class Cnf:
     def clauses(self) -> List[Tuple[int, ...]]:
         return self._clauses
 
+    @property
+    def clause_set(self) -> AbstractSet[Tuple[int, ...]]:
+        """The clauses as a set, for membership tests of canonical tuples."""
+        return self._clause_set
+
     def __iter__(self) -> Iterator[Tuple[int, ...]]:
         return iter(self._clauses)
 
@@ -93,22 +117,14 @@ class Cnf:
 
     def variables(self) -> Set[int]:
         """Return the set of variables occurring in some clause."""
-        result: Set[int] = set()
-        for clause in self._clauses:
-            for lit in clause:
-                result.add(var_of(lit))
-        return result
+        return set(map(abs, chain.from_iterable(self._clauses)))
 
     def has_empty_clause(self) -> bool:
         return () in self._clause_set
 
     def literal_occurrences(self) -> Dict[int, int]:
         """Count occurrences of every literal."""
-        counts: Dict[int, int] = {}
-        for clause in self._clauses:
-            for lit in clause:
-                counts[lit] = counts.get(lit, 0) + 1
-        return counts
+        return dict(Counter(chain.from_iterable(self._clauses)))
 
     def evaluate(self, assignment: Dict[int, bool]) -> bool:
         """Evaluate the CNF under a complete assignment of its variables."""
@@ -129,11 +145,15 @@ class Cnf:
     def assign(self, var: int, value: bool) -> "Cnf":
         """Return the CNF with ``var`` fixed to ``value`` (clauses simplified)."""
         true_lit = var if value else -var
+        false_lit = -true_lit
         result = Cnf(num_vars=self.num_vars)
+        add = result.add_canonical
         for clause in self._clauses:
             if true_lit in clause:
                 continue
-            result.add_clause(lit for lit in clause if lit != -true_lit)
+            if false_lit in clause:
+                clause = tuple(lit for lit in clause if lit != false_lit)
+            add(clause)
         return result
 
     def rename(self, mapping: Dict[int, int]) -> "Cnf":

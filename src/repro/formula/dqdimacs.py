@@ -13,12 +13,24 @@ variable together with its explicit dependency set::
 ``a``/``e`` lines behave as in QDIMACS: an ``e`` variable depends on all
 universal variables declared before it.  Clause lines are standard
 DIMACS.
+
+**Interned dependency sets.**  A PEC encoding repeats a handful of
+dependency lists over hundreds of ``d`` lines, and those lists carry most
+of a file's tokens.  :func:`parse_dqdimacs` keeps one dict per parse from
+a ``d`` line's dependency tail (the text after the variable) to its
+checked ``frozenset``: a repeated tail costs one dict lookup, and every
+existential with that list shares one set object (see
+:mod:`repro.formula.prefix`).  Only the variable token is converted and
+checked.  Clause and prefix lines are checked per line (one conversion,
+then ``min``/``max`` and ``0 in``); a line that fails is re-read token by
+token, so every error names the same fault and line as a token-by-token
+reader would.
 """
 
 from __future__ import annotations
 
 import io
-from typing import List, TextIO, Union
+from typing import Dict, FrozenSet, List, Optional, TextIO, Union
 
 from .cnf import Cnf
 from .dqbf import Dqbf
@@ -40,13 +52,18 @@ def parse_dqdimacs(source: Union[str, TextIO]) -> Dqbf:
     declared_clauses = -1
     universal_so_far: List[int] = []
     saw_problem_line = False
+    # d-line dependency tail -> its checked set (valid for the whole
+    # parse: the declared maximum is fixed and universals only grow).
+    dep_sets: Dict[str, FrozenSet[int]] = {}
 
     for line_number, raw in enumerate(source, start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
             continue
-        tokens = line.split()
-        if tokens[0] == "p":
+        tokens = line.split(None, 1)
+        head = tokens[0]
+        if head == "p":
+            tokens = line.split()
             if saw_problem_line:
                 raise DqdimacsError(f"line {line_number}: duplicate problem line")
             if len(tokens) != 4 or tokens[1] != "cnf":
@@ -57,33 +74,57 @@ def parse_dqdimacs(source: Union[str, TextIO]) -> Dqbf:
             continue
         if not saw_problem_line:
             raise DqdimacsError(f"line {line_number}: clause/prefix before problem line")
-        if tokens[0] in ("a", "e", "d"):
-            numbers = _parse_terminated(tokens[1:], line_number)
-            if tokens[0] == "a":
-                for var in numbers:
-                    _check_var(var, declared_vars, line_number)
-                    prefix.add_universal(var)
-                    universal_so_far.append(var)
-            elif tokens[0] == "e":
-                for var in numbers:
-                    _check_var(var, declared_vars, line_number)
-                    prefix.add_existential(var, universal_so_far)
-            else:  # d-line: first number is the variable, rest the dependency set
+        if head == "d":
+            # The variable token, then the dependency tail as one string.
+            fields = tokens[1].split(None, 1) if len(tokens) == 2 else []
+            tail = fields[1] if len(fields) == 2 else None
+            deps = dep_sets.get(tail) if tail is not None else None
+            numbers = None
+            if deps is not None:
+                numbers = _read_line([fields[0], "0"], declared_vars, allow_negative=False)
+            if numbers is None:
+                # A new tail (or a faulty variable): read the line token by token.
+                numbers = _parse_terminated(line.split()[1:], line_number)
                 if not numbers:
                     raise DqdimacsError(f"line {line_number}: empty d line")
-                var, deps = numbers[0], numbers[1:]
-                _check_var(var, declared_vars, line_number)
-                for dep in deps:
-                    _check_var(dep, declared_vars, line_number)
-                try:
-                    prefix.add_existential(var, deps)
-                except ValueError as exc:
-                    raise DqdimacsError(f"line {line_number}: {exc}") from exc
+                for number in numbers:
+                    _check_var(number, declared_vars, line_number)
+                deps = numbers[1:]
+            var = numbers[0]
+            try:
+                prefix.add_existential(var, deps)
+            except ValueError as exc:
+                raise DqdimacsError(f"line {line_number}: {exc}") from exc
+            if tail is not None:
+                dep_sets[tail] = prefix.dependencies(var)
             continue
-        # clause line
-        literals = _parse_terminated(tokens, line_number, allow_negative=True)
-        for lit in literals:
-            _check_var(abs(lit), declared_vars, line_number)
+        if head == "a" or head == "e":
+            tokens = line.split()[1:]
+            numbers = _read_line(tokens, declared_vars, allow_negative=False)
+            faulty = numbers is None
+            if faulty:
+                # Re-read token by token: each variable is checked just
+                # before it is added, as the error order requires.
+                numbers = _parse_terminated(tokens, line_number)
+            if head == "a":
+                for var in numbers:
+                    if faulty:
+                        _check_var(var, declared_vars, line_number)
+                    prefix.add_universal(var)
+                    universal_so_far.append(var)
+            else:
+                universal_deps = frozenset(universal_so_far)
+                for var in numbers:
+                    if faulty:
+                        _check_var(var, declared_vars, line_number)
+                    prefix.add_existential(var, universal_deps)
+            continue
+        tokens = line.split()
+        literals = _read_line(tokens, declared_vars, allow_negative=True)
+        if literals is None:
+            literals = _parse_terminated(tokens, line_number, allow_negative=True)
+            for lit in literals:
+                _check_var(abs(lit), declared_vars, line_number)
         clauses.append(literals)
 
     if declared_clauses >= 0 and len(clauses) != declared_clauses:
@@ -96,6 +137,29 @@ def parse_dqdimacs(source: Union[str, TextIO]) -> Dqbf:
 
     matrix = Cnf(clauses, num_vars=declared_vars)
     return Dqbf(prefix, matrix)
+
+
+def _read_line(tokens: List[str], declared: int, allow_negative: bool) -> Optional[List[int]]:
+    """The numbers of a clause or prefix line, checked as a whole line.
+
+    Returns ``None`` on any fault; the caller then re-reads the line
+    token by token (:func:`_parse_terminated`, :func:`_check_var`) to
+    raise the error a token-by-token reader gives.
+    """
+    try:
+        numbers = list(map(int, tokens))
+    except ValueError:
+        return None
+    if not numbers or numbers.pop() != 0:
+        return None
+    if not numbers:
+        return numbers
+    low = min(numbers)
+    if 0 in numbers or (low < 0 and not allow_negative):
+        return None
+    if declared and (max(numbers) > declared or -low > declared):
+        return None
+    return numbers
 
 
 def _parse_terminated(

@@ -7,11 +7,23 @@ set*: the subset of universal variables its Skolem function may read.
 A QBF prefix (Definition 3) is a linearly ordered sequence of quantifier
 blocks.  Every QBF prefix embeds into a DQBF prefix by giving each
 existential variable the union of all universal blocks to its left.
+
+**Interned dependency sets.**  A :class:`DependencyPrefix` keeps one
+``frozenset`` object per distinct dependency set: existentials with
+equal sets share it.  Real inputs have few distinct sets (a PEC
+encoding's hundreds of existentials see a few dozen), so the check
+"dependencies ⊆ universals" runs once per distinct set, and callers
+that compare sets can test identity before inclusion
+(``a is b or a <= b``).  Universals only grow while a prefix is built,
+so a set checked once stays valid; removing a universal re-interns
+every set.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (
+    AbstractSet, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple,
+)
 
 EXISTS = "e"
 FORALL = "a"
@@ -25,6 +37,9 @@ class DependencyPrefix:
         self._universal_set: Set[int] = set()
         self._deps: Dict[int, FrozenSet[int]] = {}
         self._exist_order: List[int] = []
+        # Distinct dependency sets, each checked against the universals;
+        # maps a set to its one shared instance.
+        self._dep_sets: Dict[FrozenSet[int], FrozenSet[int]] = {}
 
     # ------------------------------------------------------------------
     # construction
@@ -38,14 +53,22 @@ class DependencyPrefix:
     def add_existential(self, var: int, deps: Iterable[int]) -> None:
         if var in self._universal_set or var in self._deps:
             raise ValueError(f"variable {var} already quantified")
-        dep_set = frozenset(deps)
+        self._deps[var] = self._intern(var, deps)
+        self._exist_order.append(var)
+
+    def _intern(self, var: int, deps: Iterable[int]) -> FrozenSet[int]:
+        """The shared instance of ``deps``, checked against the universals once."""
+        dep_set = deps if isinstance(deps, frozenset) else frozenset(deps)
+        known = self._dep_sets.get(dep_set)
+        if known is not None:
+            return known
         unknown = dep_set - self._universal_set
         if unknown:
             raise ValueError(
                 f"dependency set of {var} mentions non-universal variables {sorted(unknown)}"
             )
-        self._deps[var] = dep_set
-        self._exist_order.append(var)
+        self._dep_sets[dep_set] = dep_set
+        return dep_set
 
     def copy(self) -> "DependencyPrefix":
         other = DependencyPrefix()
@@ -53,6 +76,7 @@ class DependencyPrefix:
         other._universal_set = set(self._universal_set)
         other._deps = dict(self._deps)
         other._exist_order = list(self._exist_order)
+        other._dep_sets = dict(self._dep_sets)
         return other
 
     # ------------------------------------------------------------------
@@ -62,11 +86,26 @@ class DependencyPrefix:
         """Drop a universal variable and remove it from every dependency set."""
         if var not in self._universal_set:
             raise KeyError(var)
-        self._universals.remove(var)
-        self._universal_set.remove(var)
-        for y, deps in list(self._deps.items()):
-            if var in deps:
-                self._deps[y] = deps - {var}
+        self._remove_universals({var})
+
+    def _remove_universals(self, removed: Set[int]) -> None:
+        """Drop the universals ``removed`` from the prefix and every set.
+
+        Each distinct dependency set is shrunk once; the results are the
+        new interned sets.
+        """
+        self._universals = [x for x in self._universals if x not in removed]
+        self._universal_set -= removed
+        interned: Dict[FrozenSet[int], FrozenSet[int]] = {}
+        shrunk: Dict[FrozenSet[int], FrozenSet[int]] = {}
+        deps = self._deps
+        for y, dep_set in deps.items():
+            smaller = shrunk.get(dep_set)
+            if smaller is None:
+                smaller = dep_set if dep_set.isdisjoint(removed) else dep_set - removed
+                smaller = shrunk[dep_set] = interned.setdefault(smaller, smaller)
+            deps[y] = smaller
+        self._dep_sets = interned
 
     def remove_existential(self, var: int) -> None:
         if var not in self._deps:
@@ -88,11 +127,15 @@ class DependencyPrefix:
         from the prefix (last paragraph of Section III-C).  Returns the
         list of removed variables.
         """
-        removed = [v for v in self._universals if v not in support]
-        removed += [v for v in self._exist_order if v not in support]
-        for var in removed:
-            self.remove_variable(var)
-        return removed
+        universals = [v for v in self._universals if v not in support]
+        existentials = [v for v in self._exist_order if v not in support]
+        if universals:
+            self._remove_universals(set(universals))
+        if existentials:
+            for var in existentials:
+                del self._deps[var]
+            self._exist_order = [v for v in self._exist_order if v in self._deps]
+        return universals + existentials
 
     # ------------------------------------------------------------------
     # inspection
@@ -106,6 +149,16 @@ class DependencyPrefix:
     def existentials(self) -> List[int]:
         """Existential variables in declaration order."""
         return list(self._exist_order)
+
+    @property
+    def universal_set(self) -> AbstractSet[int]:
+        """The universals as a set, for hot loops (do not mutate)."""
+        return self._universal_set
+
+    @property
+    def dependency_map(self) -> Mapping[int, FrozenSet[int]]:
+        """Existential -> dependency set, for hot loops (do not mutate)."""
+        return self._deps
 
     def is_universal(self, var: int) -> bool:
         return var in self._universal_set
@@ -123,13 +176,7 @@ class DependencyPrefix:
     def set_dependencies(self, var: int, deps: Iterable[int]) -> None:
         if var not in self._deps:
             raise KeyError(var)
-        dep_set = frozenset(deps)
-        unknown = dep_set - self._universal_set
-        if unknown:
-            raise ValueError(
-                f"dependency set of {var} mentions non-universal variables {sorted(unknown)}"
-            )
-        self._deps[var] = dep_set
+        self._deps[var] = self._intern(var, deps)
 
     def dependents_of(self, universal: int) -> List[int]:
         """``E_x``: the existential variables whose dependency set contains ``universal``."""
@@ -167,12 +214,10 @@ class DependencyPrefix:
         dependency graph to be acyclic, i.e. for an equivalent QBF prefix
         to exist.
         """
-        deps = [self._deps[y] for y in self._exist_order]
-        for i, d1 in enumerate(deps):
-            for d2 in deps[i + 1 :]:
-                if not (d1 <= d2 or d2 <= d1):
-                    return False
-        return True
+        # The distinct sets must form a chain: sorted by size, each one
+        # contains the one before.
+        chain = sorted(set(self._deps.values()), key=len)
+        return all(small <= large for small, large in zip(chain, chain[1:]))
 
 
 class BlockedPrefix:

@@ -49,7 +49,7 @@ to what its own query needs:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..aig.graph import FALSE, TRUE, Aig, RestrictMemo
 from ..core.guard import ResourceGuard
@@ -159,6 +159,10 @@ class _Game:
         # ``root``, ``outer`` and ``opponent`` are fixed for the frame, so
         # each restriction site redoes only what the new values change.
         candidate_memo, move_memo = RestrictMemo(), RestrictMemo()
+        # The abstraction only grows (the cone of ``land(A, I)`` is A's
+        # plus I's plus the new node), so its size is kept incrementally.
+        abstraction_cone: Set[int] = set()
+        abstraction_size = 0
         pending = list(seeds)
         while True:
             guard.check()
@@ -170,7 +174,8 @@ class _Game:
                 counters.append(move)
             if abstraction == FALSE:
                 return None, counters
-            guard.check_nodes(aig.cone_size(abstraction))
+            abstraction_size += aig.grow_cone(abstraction, abstraction_cone)
+            guard.check_nodes(abstraction_size)
             stats.cegar_rounds += 1
             guard.note(qbf_cegar_rounds=float(stats.cegar_rounds))
             candidate, abstract_seeds = self.solve(

@@ -211,7 +211,6 @@ class AigSatSession:
         node_var = self._node_var
         stats = self.stats
         solver = self._solver
-        add_clause = solver.add_clause
         for node in aig.cone_nodes(edge):
             if node in node_var:
                 stats.encode_cache_hits += 1
@@ -219,7 +218,7 @@ class AigSatSession:
                 continue
             if node == 0:
                 var = solver.new_var()
-                add_clause([-var])
+                solver.add_clause([-var])
                 stats.clauses_encoded += 1
             elif aig.is_input(node):
                 var = self._var_for_input(aig.input_label(node))
@@ -232,9 +231,7 @@ class AigSatSession:
                 b = node_var[f1 >> 1]
                 if f1 & 1:
                     b = -b
-                add_clause([-var, a])
-                add_clause([-var, b])
-                add_clause([var, -a, -b])
+                solver.add_and_gate(var, a, b)
                 stats.clauses_encoded += 3
             node_var[node] = var
             stats.nodes_encoded += 1

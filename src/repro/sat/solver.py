@@ -203,6 +203,47 @@ class CdclSolver:
         self._watches[kept[1]].append(record)
         return True
 
+    def add_and_gate(self, out: int, a: int, b: int) -> None:
+        """Add the Tseitin clauses of ``out <-> a & b``.
+
+        The clauses ``(-out | a)``, ``(-out | b)`` and ``(out | -a | -b)``
+        go in with the literal order, clause order and watches the three
+        :meth:`add_clause` calls give them.  The short path applies when
+        the solver is at level 0 and ``out``, ``a`` and ``b`` are
+        allocated, unassigned, and on three distinct variables; anything
+        else takes the three calls.
+        """
+        val = self._val
+        var_a = a if a > 0 else -a
+        var_b = b if b > 0 else -b
+        if (
+            not self._ok
+            or self._trail_lim
+            or not 0 < out <= self.num_vars
+            or var_a > self.num_vars
+            or var_b > self.num_vars
+            or var_a == var_b
+            or out == var_a
+            or out == var_b
+            or val[out << 1]
+            or val[var_a << 1]
+            or val[var_b << 1]
+        ):
+            self.add_clause([-out, a])
+            self.add_clause([-out, b])
+            self.add_clause([out, -a, -b])
+            return
+        enc_out = out << 1
+        enc_a = a << 1 if a > 0 else (var_a << 1) | 1
+        enc_b = b << 1 if b > 0 else (var_b << 1) | 1
+        watches = self._watches
+        clauses = self._clauses
+        for lits in ([enc_out | 1, enc_a], [enc_out | 1, enc_b], [enc_out, enc_a ^ 1, enc_b ^ 1]):
+            record = _Clause(lits)
+            clauses.append(record)
+            watches[lits[0]].append(record)
+            watches[lits[1]].append(record)
+
     def add_clauses(self, clauses: Iterable[Iterable[int]]) -> bool:
         ok = True
         for clause in clauses:
@@ -236,6 +277,10 @@ class CdclSolver:
             return UNSAT
         for lit in assumptions:
             self.ensure_vars(abs(lit))
+        if decide is not None:
+            decide = list(decide)
+            if decide:
+                self.ensure_vars(max(decide))
         self._model = {}
         self._failed_assumptions = []
         self._backtrack(0)

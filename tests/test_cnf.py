@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.formula.cnf import Cnf, normalize_clause
 
@@ -26,6 +27,30 @@ class TestNormalizeClause:
         assert normalize_clause([-2, 2]) is None
         assert normalize_clause([2, -3, 3]) is None
         assert normalize_clause([-1, 1, 5]) is None
+
+
+class TestCanonicalOrder:
+    @given(st.lists(st.integers(-9, 9).filter(bool), max_size=8))
+    def test_matches_variable_then_polarity_sort(self, lits):
+        """``key=abs`` gives the (variable, sign) order: one literal per variable."""
+        seen = set(lits)
+        if any(-lit in seen for lit in seen):
+            assert normalize_clause(lits) is None
+        else:
+            expected = tuple(sorted(seen, key=lambda lit: (abs(lit), lit < 0)))
+            assert normalize_clause(lits) == expected
+
+    @given(st.lists(st.lists(st.integers(-6, 6).filter(bool), max_size=4), max_size=12),
+           st.integers(1, 6), st.booleans())
+    def test_assign_matches_renormalizing(self, clauses, var, value):
+        """``assign`` appends the shrunk tuples as they are: still canonical."""
+        cnf = Cnf(clauses)
+        true_lit = var if value else -var
+        expected = Cnf(num_vars=cnf.num_vars)
+        for clause in cnf:
+            if true_lit not in clause:
+                expected.add_clause(lit for lit in clause if lit != -true_lit)
+        assert cnf.assign(var, value).clauses == expected.clauses
 
 
 class TestCnfConstruction:

@@ -1,6 +1,7 @@
 """Tests for dependency graphs, the cyclicity test and prefix linearization."""
 
 import random
+from itertools import combinations
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -98,6 +99,12 @@ class TestCyclicity:
 
         assert is_acyclic(prefix) == (not has_cycle())
         assert bool(incomparable_pairs(prefix)) == has_cycle()
+        # The pairs, in order: MaxSAT's clause order depends on it.
+        deps = {y: prefix.dependencies(y) for y in prefix.existentials}
+        assert incomparable_pairs(prefix) == [
+            (y, z) for y, z in combinations(prefix.existentials, 2)
+            if not (deps[y] <= deps[z] or deps[z] <= deps[y])
+        ]
 
 
 class TestLinearize:

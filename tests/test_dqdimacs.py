@@ -71,6 +71,74 @@ class TestParse:
             parse_dqdimacs(text)
 
 
+class TestInternedDependencySets:
+    """Repeated ``d`` tails are read once; errors stay those of a
+    token-by-token reader, message and line number alike."""
+
+    def test_equal_tails_share_one_set(self):
+        text = "p cnf 6 1\na 1 2 0\nd 3 1 2 0\nd 4 1 2 0\nd 5 1 0\nd 6 1 2 0\n3 4 0\n"
+        prefix = parse_dqdimacs(text).prefix
+        assert prefix.dependencies(3) == frozenset([1, 2])
+        assert prefix.dependencies(3) is prefix.dependencies(4) is prefix.dependencies(6)
+        assert prefix.dependencies(5) == frozenset([1])
+
+    def test_equal_sets_share_one_object_across_spellings(self):
+        text = "p cnf 4 1\na 1 2 0\nd 3 1 2 0\nd 4 2  1 0\n3 0\n"
+        prefix = parse_dqdimacs(text).prefix
+        assert prefix.dependencies(3) is prefix.dependencies(4)
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            # a bad list raises on its first line
+            ("p cnf 4 1\na 1 0\nd 3 1 2 0\nd 4 1 2 0\n3 0\n",
+             "line 3: dependency set of 3 mentions non-universal variables [2]"),
+            ("p cnf 4 1\na 1 2 0\nd 3 1 5 0\nd 4 1 5 0\n3 0\n",
+             "line 3: variable 5 exceeds declared maximum 4"),
+            # a repeated (already checked) tail still checks its variable
+            ("p cnf 4 1\na 1 2 0\nd 3 1 2 0\nd 9 1 2 0\n3 0\n",
+             "line 4: variable 9 exceeds declared maximum 4"),
+            ("p cnf 4 1\na 1 2 0\nd 3 1 2 0\nd 0 1 2 0\n3 0\n",
+             "line 4: stray 0 inside line"),
+            ("p cnf 4 1\na 1 2 0\nd 3 1 2 0\nd -4 1 2 0\n3 0\n",
+             "line 4: negative variable in prefix"),
+            ("p cnf 4 1\na 1 2 0\nd 3 1 2 0\nd x 1 2 0\n3 0\n",
+             "line 4: non-integer token"),
+            ("p cnf 4 1\na 1 2 0\nd 3 1 2 0\nd 3 1 2 0\n3 0\n",
+             "line 4: variable 3 already quantified"),
+        ],
+    )
+    def test_dependency_errors(self, text, message):
+        with pytest.raises(DqdimacsError) as caught:
+            parse_dqdimacs(text)
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("p cnf 4 2\na 1 2 0\nd 3 1 0\n3 0 1 0\n", "line 4: stray 0 inside line"),
+            ("p cnf 4 2\na 1 2 0\nd 3 1 0\n3 1\n", "line 4: missing terminating 0"),
+            ("p cnf 4 2\na 1 2 0\nd 3 1 0\n3 y 0\n", "line 4: non-integer token"),
+            ("p cnf 4 2\na 1 2 0\nd 3 1 0\n3 -7 0\n",
+             "line 4: variable 7 exceeds declared maximum 4"),
+            ("p cnf 4 2\na 1 -2 0\n", "line 2: negative variable in prefix"),
+            ("p cnf 4 2\na 1 2 0\ne 0 3 0\n", "line 3: stray 0 inside line"),
+            ("p cnf 4 2\na 1 2 0\ne 3 4\n", "line 3: missing terminating 0"),
+            ("p cnf 4 2\nc x\na 1 2 0\ne 3 9 0\n",
+             "line 4: variable 9 exceeds declared maximum 4"),
+        ],
+    )
+    def test_line_errors(self, text, message):
+        with pytest.raises(DqdimacsError) as caught:
+            parse_dqdimacs(text)
+        assert str(caught.value) == message
+
+    def test_duplicate_universal_before_range_fault(self):
+        # Variables are added one by one: the duplicate 1 is found before 9.
+        with pytest.raises(ValueError, match="variable 1 already quantified"):
+            parse_dqdimacs("p cnf 4 2\na 1 1 9 0\n")
+
+
 class TestRoundTrip:
     @settings(max_examples=60, deadline=None)
     @given(dqbf_strategy())

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.aig.cnf_bridge import cnf_to_aig
+from repro.aig.graph import Aig
 from repro.core.guard import ResourceGuard
 from repro.core.hqs import HqsSolver
 from repro.core.result import Limits, SAT, UNSAT
@@ -20,7 +21,7 @@ from repro.qbf.qdpll import solve_qdpll
 from repro.sat.incremental import AigSatSession
 
 
-from conftest import random_qbf  # shared with test_qdimacs
+from conftest import random_qbf, requires_numpy  # random_qbf is shared with test_qdimacs
 
 
 class TestKnownQbfs:
@@ -278,3 +279,47 @@ class TestCegarBudget:
                 whole.slice(stage="qbf-backend"), stats=stats,
             )
         assert stats.cegar_fallbacks == 0
+
+
+class _NodeRecorder(ResourceGuard):
+    """A guard that records every matrix size it is asked to check."""
+
+    def __init__(self):
+        super().__init__()
+        self.sizes = []
+
+    def check_nodes(self, num_nodes):
+        self.sizes.append(num_nodes)
+        super().check_nodes(num_nodes)
+
+
+class TestCegarAbstractionSize:
+    """The abstraction size each round checks against the node budget is
+    kept incrementally; it must equal a fresh ``cone_size`` every round."""
+
+    @pytest.mark.parametrize(
+        "backend", ["python", pytest.param("numpy", marks=requires_numpy)]
+    )
+    def test_incremental_size_matches_cone_size(self, backend, monkeypatch):
+        expected = []
+        grow_cone = Aig.grow_cone
+
+        def recording_grow_cone(aig, root, seen):
+            added = grow_cone(aig, root, seen)
+            expected.append(aig.cone_size(root))
+            return added
+
+        monkeypatch.setattr(Aig, "grow_cone", recording_grow_cone)
+        rounds = 0
+        for seed in range(40):
+            formula = _random_3cnf_qbf(random.Random(seed))
+            aig, root = cnf_to_aig(formula.matrix.clauses, Aig(backend=backend))
+            guard = _NodeRecorder()
+            stats = QbfSolverStats()
+            assert cegar.solve_cegar(aig, root, formula.prefix.blocks, guard, stats) == (
+                brute_force_qbf(formula)
+            )
+            assert guard.sizes == expected
+            rounds += len(expected)
+            expected.clear()
+        assert rounds > 100

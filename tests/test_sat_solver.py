@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.sat.simple import dpll_solve
@@ -281,10 +281,12 @@ class TestScopedDecisions:
     answers SAT once they are all assigned without a conflict."""
 
     @settings(max_examples=60, deadline=None)
-    @given(cnf_strategy(), st.data())
-    def test_scoped_then_full_model(self, clauses, data):
+    @given(cnf_strategy(), st.lists(st.integers(0, 15), max_size=8))
+    # 2 is never allocated: add_clause returns on the tautology first
+    @example([[1, -1, 2]], [1])
+    def test_scoped_then_full_model(self, clauses, picks):
         variables = sorted({abs(lit) for clause in clauses for lit in clause})
-        decide = data.draw(st.lists(st.sampled_from(variables), unique=True)) if variables else []
+        decide = sorted({variables[i % len(variables)] for i in picks}) if variables else []
         solver = CdclSolver()
         solver.add_clauses(clauses)
         expected = dpll_solve(clauses) is not None
@@ -307,6 +309,12 @@ class TestScopedDecisions:
             for clause in clauses:
                 assert any(model[abs(lit)] == (lit > 0) for lit in clause)
 
+    def test_decide_allocates_variables(self):
+        solver = CdclSolver()
+        solver.add_clause([1, 2])
+        assert solver.solve(decide=[5]) == SAT
+        assert solver.num_vars == 5 and 5 in solver.model()
+
     def test_unassigned_variables_are_left_out(self):
         solver = CdclSolver()
         solver.add_clauses([[1, 2], [3, 4], [-3, -4]])
@@ -325,6 +333,43 @@ class TestScopedDecisions:
         assert solver.solve(decide=[1, 2, 3]) == SAT
         assert solver.model() == {1: False, 2: True, 3: False}
         assert solver.decisions == 2
+
+
+def _solver_state(solver):
+    return (
+        solver._ok,
+        list(solver._val),
+        list(solver._trail),
+        [c.lits for c in solver._clauses],
+        [[c.lits for c in watchers] for watchers in solver._watches],
+    )
+
+
+class TestAndGate:
+    """``add_and_gate`` leaves the solver exactly as the three
+    ``add_clause`` calls of the Tseitin encoding do."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        cnf_strategy(),
+        st.integers(1, 8),
+        st.integers(-8, 8).filter(bool),
+        st.integers(-8, 8).filter(bool),
+        st.booleans(),
+    )
+    def test_same_state_as_add_clause(self, clauses, out, a, b, solved):
+        gate, reference = CdclSolver(), CdclSolver()
+        for solver in (gate, reference):
+            solver.add_clauses(clauses)
+            solver.ensure_vars(8)
+            if solved:
+                solver.solve()
+        gate.add_and_gate(out, a, b)
+        reference.add_clause([-out, a])
+        reference.add_clause([-out, b])
+        reference.add_clause([out, -a, -b])
+        assert _solver_state(gate) == _solver_state(reference)
+        assert gate.solve() == reference.solve()
 
 
 class TestLuby:
