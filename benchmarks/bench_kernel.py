@@ -15,7 +15,7 @@ Two comparisons share this file:
    ``Aig(backend="numpy")``, reported as wall-clock and nodes/sec per
    generator family.  Acceptance: **>= 5x wall-clock speedup** on the
    two largest families.  Results are committed to ``BENCH_kernel.json``
-   (like ``BENCH_satsweep.json``) so the perf trajectory is tracked;
+   so the perf trajectory is tracked;
    the JSON also stores a calibration-normalized pure-python baseline
    that the CI smoke job checks for regressions
    (``REPRO_BENCH_KERNEL_TOLERANCE``, default 10%).

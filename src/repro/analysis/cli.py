@@ -98,6 +98,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
     try:
         config = load_config(args.config)
+    except RuntimeError as exc:
+        print(f"hqs-lint: {exc}", file=sys.stderr)
+        return 2
     except (OSError, ValueError) as exc:
         print(f"hqs-lint: bad config: {exc}", file=sys.stderr)
         return 2

@@ -1,17 +1,12 @@
 """``[tool.hqs-lint]`` configuration loading.
 
-Python 3.11+ parses ``pyproject.toml`` with :mod:`tomllib`.  On the
-3.9/3.10 CI legs a small fallback parser extracts just the
-``tool.hqs-lint*`` tables — it understands the TOML subset this repo's
-pyproject actually uses (string/bool/int scalars and possibly-multiline
-string arrays) and silently skips anything else, which is safe because
-only ``tool.hqs-lint`` keys are consumed.
+``pyproject.toml`` is parsed with :mod:`tomllib`, so hqs-lint needs
+Python 3.11 or newer; the solver itself does not.
 """
 
 from __future__ import annotations
 
 import copy
-import re
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
@@ -87,16 +82,14 @@ class LintConfig:
 def load_config(pyproject: Optional[Path] = None) -> LintConfig:
     """Load ``[tool.hqs-lint]`` from ``pyproject``, defaulting everything
     when the file or table is absent."""
+    if tomllib is None:
+        raise RuntimeError("hqs-lint needs Python 3.11 or newer (tomllib)")
     if pyproject is None:
         pyproject = Path("pyproject.toml")
     if not pyproject.is_file():
         return LintConfig()
-    text = pyproject.read_text(encoding="utf-8")
-    if tomllib is not None:
-        data = tomllib.loads(text)
-        tool = data.get("tool", {}).get("hqs-lint", {})
-    else:
-        tool = _parse_hqs_lint_subset(text)
+    data = tomllib.loads(pyproject.read_text(encoding="utf-8"))
+    tool = data.get("tool", {}).get("hqs-lint", {})
     return LintConfig(_flatten(tool))
 
 
@@ -106,158 +99,3 @@ def _flatten(tool: Dict[str, Any]) -> Dict[str, Any]:
     for key, value in tool.items():
         out[key.lower() if isinstance(value, dict) else key] = value
     return out
-
-
-# ----------------------------------------------------------------------
-# minimal TOML-subset fallback (pre-3.11 interpreters)
-# ----------------------------------------------------------------------
-
-_SECTION_RE = re.compile(r"^\[([^\]]+)\]\s*$")
-_KEY_RE = re.compile(r"^([A-Za-z0-9_\-\.\"']+)\s*=\s*(.*)$")
-
-
-def _parse_hqs_lint_subset(text: str) -> Dict[str, Any]:
-    result: Dict[str, Any] = {}
-    section: Optional[List[str]] = None
-    pending_key: Optional[str] = None
-    pending_value = ""
-
-    def target_table() -> Optional[Dict[str, Any]]:
-        if section is None or section[:2] != ["tool", "hqs-lint"]:
-            return None
-        table = result
-        for part in section[2:]:
-            table = table.setdefault(part, {})
-        return table
-
-    def finish_pending() -> None:
-        nonlocal pending_key, pending_value
-        if pending_key is None:
-            return
-        table = target_table()
-        if table is not None:
-            value = _parse_value(pending_value)
-            if value is not _UNPARSED:
-                table[pending_key] = value
-        pending_key, pending_value = None, ""
-
-    for raw_line in text.split("\n"):
-        line = _strip_comment(raw_line)
-        if pending_key is not None:
-            pending_value += " " + line.strip()
-            if _array_closed(pending_value):
-                finish_pending()
-            continue
-        stripped = line.strip()
-        if not stripped:
-            continue
-        section_match = _SECTION_RE.match(stripped)
-        if section_match:
-            section = [p.strip().strip("\"'") for p in section_match.group(1).split(".")]
-            continue
-        key_match = _KEY_RE.match(stripped)
-        if not key_match:
-            continue
-        key = key_match.group(1).strip().strip("\"'")
-        value_text = key_match.group(2).strip()
-        if value_text.startswith("[") and not _array_closed(value_text):
-            pending_key, pending_value = key, value_text
-            continue
-        table = target_table()
-        if table is not None:
-            value = _parse_value(value_text)
-            if value is not _UNPARSED:
-                table[key] = value
-    finish_pending()
-    return result
-
-
-_UNPARSED = object()
-
-
-def _strip_comment(line: str) -> str:
-    out: List[str] = []
-    in_string: Optional[str] = None
-    for ch in line:
-        if in_string:
-            if ch == in_string:
-                in_string = None
-        elif ch in ("'", '"'):
-            in_string = ch
-        elif ch == "#":
-            break
-        out.append(ch)
-    return "".join(out)
-
-
-def _array_closed(text: str) -> bool:
-    depth = 0
-    in_string: Optional[str] = None
-    for ch in text:
-        if in_string:
-            if ch == in_string:
-                in_string = None
-        elif ch in ("'", '"'):
-            in_string = ch
-        elif ch == "[":
-            depth += 1
-        elif ch == "]":
-            depth -= 1
-    return depth <= 0
-
-
-def _parse_value(text: str) -> Any:
-    text = text.strip()
-    if not text:
-        return _UNPARSED
-    if text.startswith("[") and text.endswith("]"):
-        inner = text[1:-1]
-        items = [item for item in _split_array(inner) if item]
-        values = []
-        for item in items:
-            value = _parse_value(item)
-            if value is _UNPARSED:
-                return _UNPARSED
-            values.append(value)
-        return values
-    if (text.startswith('"') and text.endswith('"') and len(text) >= 2) or (
-        text.startswith("'") and text.endswith("'") and len(text) >= 2
-    ):
-        return text[1:-1]
-    if text == "true":
-        return True
-    if text == "false":
-        return False
-    try:
-        return int(text)
-    except ValueError:
-        return _UNPARSED
-
-
-def _split_array(inner: str) -> List[str]:
-    parts: List[str] = []
-    buf: List[str] = []
-    depth = 0
-    in_string: Optional[str] = None
-    for ch in inner:
-        if in_string:
-            buf.append(ch)
-            if ch == in_string:
-                in_string = None
-            continue
-        if ch in ("'", '"'):
-            in_string = ch
-            buf.append(ch)
-        elif ch == "[":
-            depth += 1
-            buf.append(ch)
-        elif ch == "]":
-            depth -= 1
-            buf.append(ch)
-        elif ch == "," and depth == 0:
-            parts.append("".join(buf).strip())
-            buf = []
-        else:
-            buf.append(ch)
-    parts.append("".join(buf).strip())
-    return parts

@@ -7,11 +7,12 @@ Usage::
     hqs --timeout 60 --stats problem.dqdimacs
 
 Exit codes follow the (D)QBF-solver convention: 10 = SAT, 20 = UNSAT,
-0 = inconclusive.  Resource-limited runs exit with the coreutils
-``timeout(1)`` convention instead — 124 when the wall clock ran out,
-125 when the node (memory) budget did — and print a machine-readable
-``c failure`` line naming the stage, resource and progress, never a
-traceback.
+0 = inconclusive; a malformed input file exits 1 with a one-line
+``hqs: FILE: line N: …`` message.  Resource-limited runs exit with the
+coreutils ``timeout(1)`` convention instead — 124 when the wall clock
+ran out, 125 when the node (memory) budget did — and print a
+machine-readable ``c failure`` line naming the stage, resource and
+progress, never a traceback.
 
 A second entry point, ``hqs-bench`` (:func:`bench_main`), drives the
 benchmark suite through the fault-tolerant parallel runner::
@@ -32,11 +33,12 @@ from .baselines.idq import IdqSolver
 from .core.hqs import HqsOptions, HqsSolver
 from .core.result import Limits, SAT, UNSAT
 from .errors import ResourceExhausted
-from .formula.dqdimacs import load_dqdimacs
+from .formula.dqdimacs import DqdimacsError, load_dqdimacs
 
 EXIT_SAT = 10
 EXIT_UNSAT = 20
 EXIT_UNKNOWN = 0
+EXIT_INPUT_ERROR = 1
 #: coreutils ``timeout(1)`` conventions for resource-limited runs.
 EXIT_TIMEOUT = 124
 EXIT_NODELIMIT = 125
@@ -106,7 +108,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    formula = load_dqdimacs(args.file)
+    try:
+        formula = load_dqdimacs(args.file)
+    except DqdimacsError as exc:
+        print(f"hqs: {args.file}: {exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
     limits = Limits(time_limit=args.timeout, node_limit=args.node_limit)
 
     if args.analyze:

@@ -12,7 +12,10 @@ The pipeline:
    the selected variables (cheapest first) while the dependency graph is
    cyclic;
 5. once acyclic: linearize the prefix (Theorem 3) and hand the AIG to
-   the QBF back-end — :mod:`repro.qbf.aigsolve`.
+   the QBF back-end — :mod:`repro.qbf.aigsolve`: unit/pure rules, then a
+   SAT endgame for one block or CEGAR for more.  Its only fallback is
+   rung 3 of the degradation ladder: when it blows its stage slice,
+   step 4's universal elimination carries on to the end.
 
 Every optimization can be switched off through :class:`HqsOptions`,
 which is how the ablation benchmarks and the [10]-style expansion
@@ -78,7 +81,6 @@ class HqsOptions:
         use_qbf_backend: bool = True,
         use_sat_probe: bool = False,
         use_fused_kernel: bool = True,
-        use_sat_session: bool = True,
         sat_session_max_clauses: int = 200_000,
         elimination_order: str = "copies",
         fraig_interval: int = 0,
@@ -92,6 +94,9 @@ class HqsOptions:
         self.use_gate_detection = use_gate_detection
         self.use_unit_pure = use_unit_pure
         self.use_maxsat_selection = use_maxsat_selection
+        # Once the dependency graph is acyclic, decide with the QBF
+        # back-end (unit/pure rules, the one-block SAT endgame, else
+        # CEGAR).  Off = keep eliminating universals to the end.
         self.use_qbf_backend = use_qbf_backend
         # The improvement suggested at the end of Section IV: one SAT call
         # on the all-zero universal branch catches the instances iDQ
@@ -99,18 +104,15 @@ class HqsOptions:
         # the evaluated HQS configuration.
         self.use_sat_probe = use_sat_probe
         # Single-pass AIG kernel (fused cofactor/rename, batched
-        # unit/pure substitution).  Off = the naive one-rebuild-per-step
-        # reference path, kept for equivalence tests and the kernel
-        # benchmark's before/after comparison.
+        # unit/pure substitution) for HQS's own elimination steps.  Off =
+        # the naive one-rebuild-per-step reference path, kept for
+        # equivalence tests and the kernel benchmark's before/after
+        # comparison.  The QBF back-end always runs the fused kernel.
         self.use_fused_kernel = use_fused_kernel
-        # One persistent AigSatSession for every SAT query of the run
-        # (FRAIG miters, constant checks, endgames): learned clauses and
-        # Tseitin encodings survive across sweeps and elimination
-        # rounds.  Off = the historical fresh-solver-per-query
-        # discipline, kept for the satsweep benchmark's baseline.
-        self.use_sat_session = use_sat_session
-        # Clause budget of that session within one solve (every solve
-        # builds its own session; nothing carries over between solves).
+        # Clause budget of the AigSatSession that serves every SAT query
+        # of one solve (FRAIG miters, constant checks, endgames).  Every
+        # solve builds its own session; nothing carries over between
+        # solves.
         self.sat_session_max_clauses = sat_session_max_clauses
         # "copies" orders elimination candidates by the number of
         # existential copies (the paper's heuristic); "growth" by the
@@ -380,13 +382,10 @@ class HqsSolver:
         # (extract shares the object); keep a handle for stats export.
         self._kernel_counters = state.aig.counters
         self.stats["kernel_backend_numpy"] = int(state.aig.backend == "numpy")
-        # One SAT session serves every query of the run.  With
-        # use_sat_session=False it degrades to a fresh solver per query
-        # while keeping the same counters (the benchmark baseline).
-        # Every query charges its conflicts to the guard.
+        # One SAT session serves every query of the run.  Every query
+        # charges its conflicts to the guard.
         self._sat_session = AigSatSession(
             state.aig,
-            persistent=self.options.use_sat_session,
             max_clauses=self.options.sat_session_max_clauses,
             guard=guard,
         )
@@ -496,7 +495,6 @@ class HqsSolver:
                             use_unit_pure=options.use_unit_pure,
                             stats=qbf_stats,
                             compact_ratio=options.compact_ratio,
-                            fused=options.use_fused_kernel,
                             sat_session=self._sat_session,
                         )
                         self._add_time("time_qbf", tick)
@@ -743,7 +741,6 @@ class HqsSolver:
         raw = session.stats
         for key, value in raw.as_dict().items():
             self.stats[f"sat_{key}"] = value
-        self.stats["sat_session_persistent"] = int(session.persistent)
         if self._fraig_engine is not None:
             self.stats["sat_fraig_sweeps"] = self._fraig_engine.sweeps
         if raw.queries:
@@ -759,10 +756,8 @@ class HqsSolver:
 
 def _backend_path(stats: QbfSolverStats) -> str:
     """Which part of the QBF back-end reached its verdict."""
-    if stats.cegar_rounds and not stats.cegar_fallbacks:
+    if stats.cegar_rounds:
         return "CEGAR"
-    if stats.quantifier_eliminations:
-        return "expansion"
     return "unit/pure rules and the SAT endgame"
 
 

@@ -110,14 +110,20 @@ def parse_dqdimacs(source: Union[str, TextIO]) -> Dqbf:
                 for var in numbers:
                     if faulty:
                         _check_var(var, declared_vars, line_number)
-                    prefix.add_universal(var)
+                    try:
+                        prefix.add_universal(var)
+                    except ValueError as exc:
+                        raise DqdimacsError(f"line {line_number}: {exc}") from exc
                     universal_so_far.append(var)
             else:
                 universal_deps = frozenset(universal_so_far)
                 for var in numbers:
                     if faulty:
                         _check_var(var, declared_vars, line_number)
-                    prefix.add_existential(var, universal_deps)
+                    try:
+                        prefix.add_existential(var, universal_deps)
+                    except ValueError as exc:
+                        raise DqdimacsError(f"line {line_number}: {exc}") from exc
             continue
         tokens = line.split()
         literals = _read_line(tokens, declared_vars, allow_negative=True)

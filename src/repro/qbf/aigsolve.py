@@ -5,15 +5,13 @@ acyclic: the linearized prefix plus the *same* matrix AIG come in
 directly — no CNF round trip (Section III-C: "we can feed the remaining
 AIG directly into this solver").
 
-The loop prunes the prefix to the support, applies syntactic unit/pure
-elimination, and short-circuits to a single SAT call when only one
-quantifier block remains.  At the first point where it would expand a
-variable it asks the counterexample-guided solver
-(:mod:`repro.qbf.cegar`), which refutes the innermost universal block
-instead of expanding it.  That solver has a fixed conflict budget; when
-it runs out, the loop continues from the same state by quantifying the
-innermost block variable by variable (``exists`` = OR of cofactors,
-``forall`` = AND of cofactors).
+The back-end is straight-line: it prunes the prefix to the support and
+applies syntactic unit/pure elimination to a fixpoint.  A single
+remaining quantifier block is one SAT (or tautology) call; anything
+else goes to the counterexample-guided solver (:mod:`repro.qbf.cegar`),
+which refutes universal blocks instead of expanding them and always
+decides.  Only the caller's guard can stop it; HQS then falls back to
+its own universal elimination (ladder rung 3).
 """
 
 from __future__ import annotations
@@ -34,19 +32,15 @@ class QbfSolverStats:
     """Counters for one AIGSolve run.
 
     ``cegar_rounds`` counts abstraction-refinement rounds over all
-    recursion levels, ``cegar_sat_calls`` the SAT queries they made, and
-    ``cegar_fallbacks`` the CEGAR calls that ran out of conflict budget
-    and left the formula to expansion.
+    recursion levels and ``cegar_sat_calls`` the SAT queries they made.
     """
 
     def __init__(self) -> None:
-        self.quantifier_eliminations = 0
         self.unit_eliminations = 0
         self.pure_eliminations = 0
         self.sat_endgames = 0
         self.cegar_rounds = 0
         self.cegar_sat_calls = 0
-        self.cegar_fallbacks = 0
 
     def as_dict(self) -> Dict[str, int]:
         return dict(self.__dict__)
@@ -60,7 +54,6 @@ def solve_aig_qbf(
     use_unit_pure: bool = True,
     stats: Optional[QbfSolverStats] = None,
     compact_ratio: int = 4,
-    fused: bool = True,
     sat_session: Optional[AigSatSession] = None,
 ) -> bool:
     """Decide the QBF given by ``prefix`` over the function at ``root``.
@@ -72,81 +65,49 @@ def solve_aig_qbf(
     its own; exhaustion raises the guard's
     :class:`~repro.errors.ResourceExhausted` subclass.
 
-    ``fused`` selects the single-pass AIG kernel (``cofactor2`` for
-    quantification, batched ``restrict`` for unit/pure); the naive path
-    rebuilds the full cone once per cofactor and is kept for kernel
-    comparisons.
-
-    ``sat_session`` routes the SAT endgames through a persistent
+    ``sat_session`` routes the SAT endgame through a persistent
     incremental solver (HQS hands down the session it used during
     elimination, so clauses learned there keep working here); without
-    one each endgame builds a throwaway solver.  The CEGAR solver only
+    one the endgame builds a throwaway solver.  The CEGAR solver only
     shares its counters (see :func:`~repro.qbf.cegar.solve_cegar`).
     """
     guard = ResourceGuard.ensure(limits)
     guard.enter_stage("qbf-backend")
     stats = stats if stats is not None else QbfSolverStats()
-    cegar_tried = False
+    guard.check()
+    if root in (TRUE, FALSE):
+        return root == TRUE
 
-    while True:
-        guard.check()
-        if root == TRUE:
-            return True
-        if root == FALSE:
-            return False
-
-        # Compact when the manager carries too much garbage, then check
-        # the node budget against live size.
+    # Compact when the manager carries too much garbage, then check the
+    # node budget against live size.
+    live = aig.cone_size(root)
+    if aig.num_nodes > compact_ratio * max(live, 64):
+        aig, (root,) = aig.extract([root])
+        if sat_session is not None:
+            sat_session.rebind(aig)
         live = aig.cone_size(root)
-        if aig.num_nodes > compact_ratio * max(live, 64):
-            fresh, (root,) = aig.extract([root])
-            aig = fresh
-            if sat_session is not None:
-                sat_session.rebind(aig)
-            live = aig.cone_size(root)
-        guard.check_nodes(live)
-        guard.note(qbf_quantifier_eliminations=float(stats.quantifier_eliminations))
+    guard.check_nodes(live)
 
-        support = aig.support_of(root)
-        for var in prefix.variables():
-            if var not in support:
-                prefix.remove_variable(var)
+    _prune_prefix(aig, root, prefix)
+    if use_unit_pure:
+        outcome, root = _apply_unit_pure_qbf(aig, root, prefix, stats, guard)
+        if outcome is not None:
+            return outcome
+        if root in (TRUE, FALSE):
+            return root == TRUE
+        _prune_prefix(aig, root, prefix)
 
-        if use_unit_pure:
-            outcome, root = _apply_unit_pure_qbf(aig, root, prefix, stats, fused, guard)
-            if outcome is not None:
-                return outcome
-            if root in (TRUE, FALSE):
-                continue
-
-        blocks = prefix.blocks
-        if not blocks:
-            # No quantified variables left but non-constant matrix cannot
-            # happen for closed formulas; treat defensively via SAT.
+    blocks = prefix.blocks
+    if not blocks:
+        # No quantified variables left but non-constant matrix cannot
+        # happen for closed formulas; treat defensively via SAT.
+        return is_satisfiable(aig, root, guard.deadline(), sat_session)
+    if len(blocks) == 1:
+        stats.sat_endgames += 1
+        if blocks[0][0] == EXISTS:
             return is_satisfiable(aig, root, guard.deadline(), sat_session)
-        if len(blocks) == 1:
-            quantifier, _variables = blocks[0]
-            stats.sat_endgames += 1
-            if quantifier == EXISTS:
-                return is_satisfiable(aig, root, guard.deadline(), sat_session)
-            return is_tautology(aig, root, guard.deadline(), sat_session)
-
-        if not cegar_tried:
-            cegar_tried = True
-            verdict = solve_cegar(aig, root, blocks, guard, stats, sat_session)
-            if verdict is not None:
-                return verdict
-
-        quantifier, variables = prefix.innermost_block()
-        var = _cheapest_variable(aig, root, variables)
-        if fused:
-            cof0, cof1 = aig.cofactor2(root, var)
-        else:
-            cof0 = aig.cofactor(root, var, False)
-            cof1 = aig.cofactor(root, var, True)
-        root = aig.lor(cof0, cof1) if quantifier == EXISTS else aig.land(cof0, cof1)
-        prefix.remove_variable(var)
-        stats.quantifier_eliminations += 1
+        return is_tautology(aig, root, guard.deadline(), sat_session)
+    return solve_cegar(aig, root, blocks, guard, stats, sat_session)
 
 
 def solve_qbf(formula: Qbf, limits=None, **kwargs) -> bool:
@@ -159,17 +120,12 @@ def solve_qbf(formula: Qbf, limits=None, **kwargs) -> bool:
     return solve_aig_qbf(aig, root, prefix, limits, **kwargs)
 
 
-def _cheapest_variable(aig: Aig, root: int, variables) -> int:
-    """Pick the block variable with the fewest direct fanouts in the cone.
-
-    Low fanout correlates with small cofactor divergence, which keeps
-    the OR/AND of cofactors small — the classic AIGSolve scheduling
-    heuristic, reduced to its cheapest useful form.
-    """
-    if len(variables) == 1:
-        return variables[0]
-    fanout = aig.input_fanout_counts(root, variables)
-    return min(variables, key=lambda v: (fanout.get(v, 0), v))
+def _prune_prefix(aig: Aig, root: int, prefix: BlockedPrefix) -> None:
+    """Drop the quantified variables ``root`` does not depend on."""
+    support = aig.support_of(root)
+    for var in prefix.variables():
+        if var not in support:
+            prefix.remove_variable(var)
 
 
 def _apply_unit_pure_qbf(
@@ -177,14 +133,12 @@ def _apply_unit_pure_qbf(
     root: int,
     prefix: BlockedPrefix,
     stats: QbfSolverStats,
-    fused: bool = True,
     guard: Optional[ResourceGuard] = None,
 ):
     """Theorem 5 on a blocked prefix; returns ``(decided, root)``.
 
-    ``fused`` applies each detection round as one batched ``restrict``
-    instead of one full-cone cofactor rebuild per variable.  ``guard``
-    threads the caller's budget through the fixpoint rounds.
+    Each detection round is applied as one batched ``restrict``.
+    ``guard`` threads the caller's budget through the fixpoint rounds.
     """
     guard = ResourceGuard.ensure(guard)
     while True:
@@ -211,10 +165,6 @@ def _apply_unit_pure_qbf(
             stats.pure_eliminations += 1
         if not assignment:
             return None, root
-        if fused:
-            root = aig.restrict(root, assignment)
-        else:
-            for var, value in assignment.items():
-                root = aig.cofactor(root, var, value)
+        root = aig.restrict(root, assignment)
         for var in assignment:
             prefix.remove_variable(var)

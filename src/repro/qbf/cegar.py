@@ -25,10 +25,9 @@ the abstraction; none means ``τ`` wins.
 
 A formula whose outermost block is universal is solved as the
 complement.  All SAT queries go through one private
-:class:`~repro.sat.incremental.AigSatSession` per call and spend at most
-:data:`CONFLICT_BUDGET` conflicts, none more than
-:data:`CALL_CONFLICT_LIMIT`; past that, :func:`solve_cegar` answers
-``None`` and the caller falls back to expansion.
+:class:`~repro.sat.incremental.AigSatSession` per call.  There is no
+budget of its own: :func:`solve_cegar` always decides, and only the
+caller's guard (deadline, conflict or node limit) can stop it.
 
 **Later rounds do not pay for earlier ones.**  Every round encodes new
 restricted copies into the one solver, which ends up holding several
@@ -59,19 +58,8 @@ from ..sat.incremental import AigSatSession
 if TYPE_CHECKING:  # pragma: no cover - aigsolve imports this module
     from .aigsolve import QbfSolverStats
 
-#: Conflicts one :func:`solve_cegar` call may spend before falling back.
-CONFLICT_BUDGET = 1000
-#: Conflicts a single SAT query may spend.  Hard TRUE instances need
-#: several near-budget queries; capping each one hands such formulas to
-#: expansion early instead of after the whole budget.
-CALL_CONFLICT_LIMIT = 350
-
 Block = Tuple[str, List[int]]
 Move = Dict[int, bool]
-
-
-class _BudgetSpent(Exception):
-    """The conflict budget ran out: fall back to expansion."""
 
 
 def solve_cegar(
@@ -81,18 +69,18 @@ def solve_cegar(
     limits=None,
     stats: Optional["QbfSolverStats"] = None,
     sat_session: Optional[AigSatSession] = None,
-) -> Optional[bool]:
-    """Decide the closed QBF ``blocks . root``, or ``None`` over budget.
+) -> bool:
+    """Decide the closed QBF ``blocks . root``.
 
     ``blocks`` alternate quantifiers, outermost first, as
     :attr:`~repro.formula.prefix.BlockedPrefix.blocks` gives them.
     Nothing the caller holds is changed: new nodes go into ``aig``, but
     ``root`` and ``blocks`` are untouched, so the caller can continue
-    from the same state when the budget runs out.
+    from the same state when the guard stops the call.
 
-    ``limits`` is a guard or ``Limits``: it is checked every round, its
-    deadline bounds every SAT call, and the SAT conflicts are charged to
-    it.  Its exhaustion raises as usual and never yields ``None``.
+    ``limits`` is a guard or ``Limits``: it is checked every round and
+    after every SAT query, its deadline bounds every SAT call, and the
+    SAT conflicts are charged to it.  Its exhaustion raises as usual.
     ``sat_session`` only lends its counters: the queries run on a
     private solver, because the clauses of the copies CEGAR introduces
     would stay in a shared one's database for the rest of the solve.
@@ -110,11 +98,7 @@ def solve_cegar(
     negated = bool(blocks) and blocks[0][0] == FORALL
     if negated:
         root, blocks = root ^ 1, _dual(blocks)
-    try:
-        move, _counters = game.solve(root, blocks or [(EXISTS, [])], [])
-    except _BudgetSpent:
-        stats.cegar_fallbacks += 1
-        return None
+    move, _counters = game.solve(root, blocks or [(EXISTS, [])], [])
     return (move is None) if negated else (move is not None)
 
 
@@ -227,20 +211,12 @@ class _Game:
             return None
         if root == TRUE:
             return {}
-        session = self.session
-        left = CONFLICT_BUDGET - session.solver.conflicts
-        if left <= 0:
-            raise _BudgetSpent()
         self.stats.cegar_sat_calls += 1
-        answer = session.is_satisfiable(
-            root, self.guard.deadline(), conflict_limit=min(CALL_CONFLICT_LIMIT, left)
-        )
-        if answer is None:
-            # A spent deadline or whole-solve budget raises here; only
-            # the conflict cap itself falls back to expansion.
-            self.guard.check()
-            raise _BudgetSpent()
-        if not answer:
+        satisfiable = self.session.is_satisfiable(root, self.guard.deadline())
+        # The query charged its conflicts to the guard: a whole-solve
+        # conflict limit stops CEGAR at the first query that crosses it.
+        self.guard.check()
+        if not satisfiable:
             return None
-        model = session.model_inputs()
+        model = self.session.model_inputs()
         return {v: model.get(v, False) for v in variables}

@@ -33,10 +33,6 @@ FRAIG sweeping (Mishchenko et al.) and clausal-abstraction QBF solvers:
   clauses remain sound (each auxiliary is functionally determined by
   the inputs), so learned clauses over inputs keep pruning the search
   in later rounds.
-
-``persistent=False`` degrades the session to the historical
-fresh-solver-per-query behaviour while keeping the same counters,
-which is what `benchmarks/bench_satsweep.py` compares against.
 """
 
 from __future__ import annotations
@@ -117,7 +113,6 @@ class AigSatSession:
     def __init__(
         self,
         aig: Aig,
-        persistent: bool = True,
         solver: Optional[CdclSolver] = None,
         stats: Optional[SatServiceStats] = None,
         max_clauses: Optional[int] = None,
@@ -125,7 +120,6 @@ class AigSatSession:
     ) -> None:
         self.aig = aig
         self.generation = aig.cache_generation
-        self.persistent = persistent
         self.stats = stats if stats is not None else SatServiceStats()
         self.max_clauses = max_clauses
         #: Optional :class:`~repro.core.guard.ResourceGuard`: every query
@@ -147,8 +141,8 @@ class AigSatSession:
 
         A no-op when the binding is already current.  Otherwise the
         per-node variable map is dropped; the solver — including input
-        variables and all learned clauses — is kept in persistent mode,
-        unless the clause database outgrew ``max_clauses``.
+        variables and all learned clauses — is kept, unless the clause
+        database outgrew ``max_clauses``.
         """
         if aig is self.aig and aig.cache_generation == self.generation:
             return self
@@ -156,9 +150,7 @@ class AigSatSession:
         self.generation = aig.cache_generation
         self._node_var = {}
         self.stats.rebinds += 1
-        if not self.persistent:
-            self._fresh_solver()
-        elif (
+        if (
             self.max_clauses is not None
             and self._solver.statistics["clauses"] > self.max_clauses
         ):
@@ -272,33 +264,20 @@ class AigSatSession:
             stats.unknown_answers += 1
         return status
 
-    def is_satisfiable(
-        self,
-        root: int,
-        deadline: Optional[float] = None,
-        conflict_limit: Optional[int] = None,
-    ) -> Optional[bool]:
+    def is_satisfiable(self, root: int, deadline: Optional[float] = None) -> bool:
         """Semantic constant-0 test: is the function at ``root`` satisfiable?
 
-        Without a ``conflict_limit``, raises
-        :class:`~repro.errors.TimeoutExceeded` when ``deadline`` passes
-        mid-solve.  With one, any UNKNOWN answer (the limit or the
-        deadline) returns ``None``; the caller checks its own clock.
+        Raises :class:`~repro.errors.TimeoutExceeded` when ``deadline``
+        passes mid-solve.
         """
         if root == FALSE:
             return False
         if root == TRUE:
             return True
-        if not self.persistent:
-            self._fresh_solver()
         cone: List[int] = []
-        status = self._solve(
-            [self._lit_of(root, cone)], cone, conflict_limit=conflict_limit, deadline=deadline
-        )
+        status = self._solve([self._lit_of(root, cone)], cone, deadline=deadline)
         if status == UNKNOWN:
-            if conflict_limit is None:
-                raise TimeoutExceeded()
-            return None
+            raise TimeoutExceeded()
         return status == SAT
 
     def is_tautology(self, root: int, deadline: Optional[float] = None) -> bool:
@@ -314,8 +293,6 @@ class AigSatSession:
         """
         if a == FALSE or b == TRUE or a == b:
             return True
-        if not self.persistent:
-            self._fresh_solver()
         cone: List[int] = []
         status = self._solve(
             [self._lit_of(a, cone), -self._lit_of(b, cone)], cone, conflict_limit=conflict_limit
@@ -337,8 +314,6 @@ class AigSatSession:
             return True
         if a == (b ^ 1):
             return False if a in (TRUE, FALSE) else self._refute_complement(a)
-        if not self.persistent:
-            self._fresh_solver()
         cone: List[int] = []
         la, lb = self._lit_of(a, cone), self._lit_of(b, cone)
         status = self._solve([la, -lb], cone, conflict_limit=conflict_limit)
@@ -355,8 +330,6 @@ class AigSatSession:
 
     def _refute_complement(self, a: int) -> Optional[bool]:
         """``a`` vs ``!a``: syntactically antivalent, produce a witness model."""
-        if not self.persistent:
-            self._fresh_solver()
         cone: List[int] = []
         la = self._lit_of(a, cone)
         status = self._solve([la], cone)

@@ -16,7 +16,7 @@ import pytest
 from repro.analysis import LintConfig, analyze_sources
 from repro.analysis.baseline import load_baseline, split_by_baseline, write_baseline
 from repro.analysis.cli import main as lint_main
-from repro.analysis.config import _parse_hqs_lint_subset, load_config
+from repro.analysis.config import load_config
 from repro.analysis.framework import Finding, SourceFile
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -573,11 +573,12 @@ class TestBaseline:
 
 
 # ----------------------------------------------------------------------
-# config loading (tomllib + py39 fallback parser)
+# config loading (tomllib: hqs-lint runs on Python 3.11+ only)
 # ----------------------------------------------------------------------
 
 class TestConfig:
     def test_repo_config_loads(self):
+        pytest.importorskip("tomllib")
         config = load_config(REPO_ROOT / "pyproject.toml")
         assert "src" in config.paths
         assert config.baseline == "lint-baseline.json"
@@ -586,38 +587,10 @@ class TestConfig:
         assert "repro.sat.solver::CdclSolver._analyze" in allow
         assert config.rule_options("RPR007")["sites-module"] == "repro.faults"
 
-    def test_fallback_parser_matches_repo_config(self):
-        text = (REPO_ROOT / "pyproject.toml").read_text(encoding="utf-8")
-        parsed = _parse_hqs_lint_subset(text)
-        assert parsed["paths"] == ["src"]
-        assert parsed["baseline"] == "lint-baseline.json"
-        assert "repro.core" in parsed["rpr001"]["packages"]
-        assert "repro.experiments.report" in parsed["rpr004"]["allow-modules"]
-
-    def test_fallback_parser_scalars_and_multiline(self):
-        parsed = _parse_hqs_lint_subset(textwrap.dedent("""
-            [tool.other]
-            junk = { inline = "table" }
-
-            [tool.hqs-lint]
-            paths = ["src", "tests"]  # trailing comment
-            flag = true
-            count = 3
-
-            [tool.hqs-lint.rpr001]
-            allow = [
-                "a::b",
-                "c::d",
-            ]
-        """))
-        assert parsed["paths"] == ["src", "tests"]
-        assert parsed["flag"] is True
-        assert parsed["count"] == 3
-        assert parsed["rpr001"]["allow"] == ["a::b", "c::d"]
-
     def test_defaults_survive_without_pyproject(self, tmp_path):
         # Regression: the defaults copy once split the baseline string
         # into a character list when no pyproject.toml was present.
+        pytest.importorskip("tomllib")
         config = load_config(tmp_path / "pyproject.toml")
         assert config.baseline == "lint-baseline.json"
         assert config.paths == ["src"]
@@ -645,6 +618,7 @@ class TestConfig:
 
 class TestWholeTree:
     def test_src_matches_committed_baseline(self, capsys, monkeypatch):
+        pytest.importorskip("tomllib")
         monkeypatch.chdir(REPO_ROOT)
         exit_code = lint_main(["src", "--format", "json"])
         payload = json.loads(capsys.readouterr().out)

@@ -2,7 +2,14 @@
 
 import pytest
 
-from repro.cli import EXIT_SAT, EXIT_TIMEOUT, EXIT_UNSAT, build_parser, main
+from repro.cli import (
+    EXIT_INPUT_ERROR,
+    EXIT_SAT,
+    EXIT_TIMEOUT,
+    EXIT_UNSAT,
+    build_parser,
+    main,
+)
 
 SAT_INSTANCE = """\
 p cnf 4 4
@@ -71,6 +78,13 @@ class TestCli:
         path = tmp_path / "hard.dqdimacs"
         save_dqdimacs(instance.formula, str(path))
         assert main(["--timeout", "0.01", str(path)]) == EXIT_TIMEOUT
+
+    def test_malformed_input_is_one_line_error(self, tmp_path, capsys):
+        path = tmp_path / "dup.dqdimacs"
+        path.write_text("p cnf 4 1\na 1 1 0\n1 0\n")
+        assert main([str(path)]) == EXIT_INPUT_ERROR
+        err = capsys.readouterr().err
+        assert err == f"hqs: {path}: line 2: variable 1 already quantified\n"
 
     def test_parser_defaults(self):
         args = build_parser().parse_args(["f.dqdimacs"])

@@ -126,6 +126,9 @@ class TestInternedDependencySets:
             ("p cnf 4 2\na 1 2 0\ne 3 4\n", "line 3: missing terminating 0"),
             ("p cnf 4 2\nc x\na 1 2 0\ne 3 9 0\n",
              "line 4: variable 9 exceeds declared maximum 4"),
+            # a variable quantified twice on one a/e line
+            ("p cnf 4 1\na 1 1 0\n", "line 2: variable 1 already quantified"),
+            ("p cnf 4 1\na 1 0\ne 2 2 0\n", "line 3: variable 2 already quantified"),
         ],
     )
     def test_line_errors(self, text, message):
@@ -135,8 +138,9 @@ class TestInternedDependencySets:
 
     def test_duplicate_universal_before_range_fault(self):
         # Variables are added one by one: the duplicate 1 is found before 9.
-        with pytest.raises(ValueError, match="variable 1 already quantified"):
+        with pytest.raises(DqdimacsError) as caught:
             parse_dqdimacs("p cnf 4 2\na 1 1 9 0\n")
+        assert str(caught.value) == "line 2: variable 1 already quantified"
 
 
 class TestRoundTrip:

@@ -285,16 +285,8 @@ class TestKernelStats:
                 "sat_learnts_reused",
                 "sat_counterexamples",
                 "sat_rebinds",
-                "sat_session_persistent",
             ):
                 assert key in result.stats, f"missing {key} (fused={fused})"
-            assert result.stats["sat_session_persistent"] == 1
-
-    def test_sat_session_disabled_still_exports_counters(self, rng):
-        options = HqsOptions(use_preprocessing=False, use_sat_session=False)
-        result = HqsSolver(options).solve(random_dqbf(rng).copy())
-        assert result.stats["sat_session_persistent"] == 0
-        assert "sat_queries" in result.stats
 
 
 class TestMetadataCache:

@@ -167,26 +167,27 @@ class TestDegradationLadder:
         entered = self._sleep_in_cegar(monkeypatch)
         instance = self._instance()
         options = HqsOptions(qbf_time_fraction=0.01)
-        result = HqsSolver(options).solve(
-            instance.formula.copy(), Limits(time_limit=20)
-        )
+        solver = HqsSolver(options, trace=True)
+        result = solver.solve(instance.formula.copy(), Limits(time_limit=20))
         assert entered
         assert result.status == (SAT if instance.expected else UNSAT)
         assert result.stats.get("degrade_qbf") == 1
-        assert result.stats["qbf_cegar_fallbacks"] == 0
+        # rung 3 decided, not CEGAR
+        assert "QBF back-end over budget: bounded expansion fallback" in solver.trace
+        assert "QBF back-end decided by CEGAR" not in solver.trace
+        assert result.stats["universal_eliminations"] >= 1
 
     def test_whole_deadline_inside_cegar_is_unknown(self, monkeypatch):
         entered = self._sleep_in_cegar(monkeypatch)
         options = HqsOptions(qbf_time_fraction=1.0)
-        result = HqsSolver(options).solve(
-            self._instance().formula.copy(), Limits(time_limit=1.0)
-        )
+        solver = HqsSolver(options, trace=True)
+        result = solver.solve(self._instance().formula.copy(), Limits(time_limit=1.0))
         assert entered
         assert result.status == UNKNOWN
         assert result.failure.stage == "qbf-backend"
         assert result.failure.resource == "time"
         assert "degrade_qbf" not in result.stats
-        assert result.stats.get("qbf_cegar_fallbacks", 0) == 0
+        assert not any("QBF back-end decided" in line for line in solver.trace)
 
     def test_fraig_over_budget_degrades_to_strash(self):
         instance = self._instance()
