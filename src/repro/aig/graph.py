@@ -314,9 +314,6 @@ class Aig:
     def is_and(self, node: int) -> bool:
         return self._fanin0[node] != self._NO_FANIN
 
-    def is_const(self, node: int) -> bool:
-        return node == 0
-
     def fanins(self, node: int) -> Tuple[int, int]:
         if not self.is_and(node):
             raise ValueError(f"node {node} is not an AND node")

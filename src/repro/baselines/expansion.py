@@ -24,7 +24,6 @@ def expansion_options() -> HqsOptions:
     """The feature configuration matching [10]."""
     return HqsOptions(
         use_preprocessing=True,
-        use_gate_detection=True,
         use_unit_pure=False,
         use_maxsat_selection=False,
         use_qbf_backend=False,

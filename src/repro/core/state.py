@@ -13,6 +13,11 @@ from typing import Dict, Optional
 from ..aig.graph import FALSE, TRUE, Aig
 from ..formula.prefix import DependencyPrefix
 
+#: An AIG manager is compacted once it holds more than this many times
+#: its live cone (counted from 64 nodes up); HQS's main loop and the
+#: QBF back-end both apply it.
+COMPACT_RATIO = 4
+
 
 class AigDqbf:
     """A DQBF whose matrix lives in an AIG.

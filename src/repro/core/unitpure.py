@@ -41,7 +41,6 @@ class UnitPureStats:
 def apply_unit_pure(
     state: AigDqbf,
     stats: Optional[UnitPureStats] = None,
-    batched: bool = True,
     guard: Optional[ResourceGuard] = None,
 ) -> Optional[bool]:
     """Eliminate unit/pure variables until fixpoint.
@@ -50,12 +49,10 @@ def apply_unit_pure(
     ``True``/``False`` when the matrix collapses to a constant, and
     ``None`` otherwise (state updated in place).
 
-    With ``batched=True`` (the default) every substitution of a
-    detection round is collected into one constant assignment and
-    applied by a single fused :meth:`~repro.aig.graph.Aig.restrict`
-    pass.  Substituting constants for distinct variables commutes, so
-    this is equivalent to the ``batched=False`` reference path, which
-    rebuilds the full live cone once per variable.
+    Every substitution of a detection round is collected into one
+    constant assignment and applied by a single fused
+    :meth:`~repro.aig.graph.Aig.restrict` pass (substituting constants
+    for distinct variables commutes).
 
     ``guard`` threads the caller's cooperative budget through the
     fixpoint rounds; ``None`` gets an unlimited guard.
@@ -71,10 +68,7 @@ def apply_unit_pure(
         if not info:
             return None
         stats.rounds += 1
-        if batched:
-            outcome = _apply_round_batched(state, info, stats)
-        else:
-            outcome = _apply_round_naive(state, info, stats)
+        outcome = _apply_round(state, info, stats)
         if outcome is not _CONTINUE:
             return outcome
 
@@ -82,7 +76,7 @@ def apply_unit_pure(
 _CONTINUE = object()  # sentinel: round applied, keep iterating
 
 
-def _apply_round_batched(state: AigDqbf, info, stats: UnitPureStats):
+def _apply_round(state: AigDqbf, info, stats: UnitPureStats):
     """Apply one detection round as a single multi-variable restrict."""
     for var in info.units:
         if state.prefix.quantifies(var) and state.prefix.is_universal(var):
@@ -112,29 +106,3 @@ def _apply_round_batched(state: AigDqbf, info, stats: UnitPureStats):
         else:
             state.prefix.remove_universal(var)
     return _CONTINUE
-
-
-def _apply_round_naive(state: AigDqbf, info, stats: UnitPureStats):
-    """Reference path: one full-cone cofactor rebuild per variable."""
-    progress = False
-    for var, forced in info.units.items():
-        if not state.prefix.quantifies(var):
-            continue
-        if state.prefix.is_universal(var):
-            return False
-        state.root = state.aig.cofactor(state.root, var, forced)
-        state.prefix.remove_existential(var)
-        stats.units_eliminated += 1
-        progress = True
-    for var, polarity in info.pures.items():
-        if not state.prefix.quantifies(var):
-            continue
-        if state.prefix.is_existential(var):
-            state.root = state.aig.cofactor(state.root, var, polarity)
-            state.prefix.remove_existential(var)
-        else:
-            state.root = state.aig.cofactor(state.root, var, not polarity)
-            state.prefix.remove_universal(var)
-        stats.pures_eliminated += 1
-        progress = True
-    return _CONTINUE if progress else None

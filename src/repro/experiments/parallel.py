@@ -64,12 +64,6 @@ from .runner import (
 POLL_INTERVAL = 0.02
 
 
-# ``mp_context``/``default_grace``/``reap`` live in :mod:`repro.proc`
-# (shared with the service worker pool); ``_mp_context`` is kept as an
-# alias for external callers of the historical name.
-_mp_context = mp_context
-
-
 # ----------------------------------------------------------------------
 # worker side
 # ----------------------------------------------------------------------
@@ -247,7 +241,7 @@ def run_records(
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     grace = default_grace(config.timeout) if grace is None else grace
     done = done or {}
-    ctx = _mp_context()
+    ctx = mp_context()
 
     order: List[Tuple[str, str]] = []
     by_name: Dict[str, PecInstance] = {}
@@ -325,7 +319,7 @@ def run_portfolio(
         raise ValueError("portfolio needs at least one solver")
     budget = config.limits()
     grace = default_grace(config.timeout) if grace is None else grace
-    ctx = _mp_context()
+    ctx = mp_context()
     label = portfolio_label(solvers)
 
     legs: List[_Job] = []

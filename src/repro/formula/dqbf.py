@@ -62,9 +62,6 @@ class Dqbf:
         """Matrix variables not bound by the prefix (should be empty for closed formulas)."""
         return sorted(v for v in self.matrix.variables() if not self.prefix.quantifies(v))
 
-    def is_closed(self) -> bool:
-        return not self.free_variables()
-
     def is_qbf(self) -> bool:
         """True iff an equivalent QBF prefix exists (Theorem 3/4)."""
         return self.prefix.is_qbf_shaped()

@@ -256,15 +256,6 @@ class BlockedPrefix:
                 return quantifier
         return None
 
-    def innermost_block(self) -> Optional[Tuple[str, List[int]]]:
-        if not self._blocks:
-            return None
-        quantifier, variables = self._blocks[-1]
-        return quantifier, list(variables)
-
-    def drop_innermost_block(self) -> None:
-        self._blocks.pop()
-
     def remove_variable(self, var: int) -> None:
         for index, (_quantifier, variables) in enumerate(self._blocks):
             if var in variables:

@@ -137,16 +137,6 @@ class Circuit:
     def is_complete(self) -> bool:
         return not self.black_boxes
 
-    def signal_names(self) -> Set[str]:
-        names = set(self.inputs)
-        for gate in self.gates:
-            names.add(gate.output)
-            names.update(gate.inputs)
-        for box in self.black_boxes:
-            names.update(box.inputs)
-            names.update(box.outputs)
-        return names
-
     # ------------------------------------------------------------------
     # semantics
     # ------------------------------------------------------------------
@@ -198,9 +188,6 @@ class Circuit:
                             f"black box output {out} needs an edge in box_output_edges"
                         )
         return edges
-
-    def count_gates(self) -> int:
-        return len(self.gates)
 
     def copy(self, name: Optional[str] = None) -> "Circuit":
         clone = Circuit(name or self.name, self.inputs, self.outputs)

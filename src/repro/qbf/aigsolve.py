@@ -22,6 +22,7 @@ from ..aig.cnf_bridge import is_satisfiable, is_tautology
 from ..aig.graph import FALSE, TRUE, Aig
 from ..aig.unitpure import detect_unit_pure
 from ..core.guard import ResourceGuard
+from ..core.state import COMPACT_RATIO
 from ..formula.prefix import EXISTS, FORALL, BlockedPrefix
 from ..formula.qbf import Qbf
 from ..sat.incremental import AigSatSession
@@ -53,7 +54,6 @@ def solve_aig_qbf(
     limits=None,
     use_unit_pure: bool = True,
     stats: Optional[QbfSolverStats] = None,
-    compact_ratio: int = 4,
     sat_session: Optional[AigSatSession] = None,
 ) -> bool:
     """Decide the QBF given by ``prefix`` over the function at ``root``.
@@ -81,7 +81,7 @@ def solve_aig_qbf(
     # Compact when the manager carries too much garbage, then check the
     # node budget against live size.
     live = aig.cone_size(root)
-    if aig.num_nodes > compact_ratio * max(live, 64):
+    if aig.num_nodes > COMPACT_RATIO * max(live, 64):
         aig, (root,) = aig.extract([root])
         if sat_session is not None:
             sat_session.rebind(aig)

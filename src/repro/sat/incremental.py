@@ -51,10 +51,6 @@ FALSE = 0
 TRUE = 1
 
 
-def _node_of(edge: int) -> int:
-    return edge >> 1
-
-
 class SatServiceStats:
     """Counters of one SAT session (exported as ``sat_*`` solver stats).
 

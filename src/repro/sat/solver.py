@@ -315,9 +315,6 @@ class CdclSolver:
         """
         return dict(self._model)
 
-    def model_value(self, var: int) -> Optional[bool]:
-        return self._model.get(var)
-
     def failed_assumptions(self) -> List[int]:
         """Subset of assumptions responsible for the last :data:`UNSAT` answer."""
         return list(self._failed_assumptions)

@@ -12,7 +12,6 @@ from conftest import dqbf_strategy
 ABLATIONS = {
     "default": HqsOptions(),
     "no_preprocessing": HqsOptions(use_preprocessing=False),
-    "no_gates": HqsOptions(use_gate_detection=False),
     "no_unit_pure": HqsOptions(use_unit_pure=False),
     "no_maxsat": HqsOptions(use_maxsat_selection=False),
     "no_qbf_backend": HqsOptions(use_qbf_backend=False),

@@ -1,11 +1,12 @@
-"""Fused AIG kernel: equivalence with the naive rebuild path + caches.
+"""Fused AIG kernel: equivalence with independent oracles + caches.
 
 The fused primitives (``restrict``, ``cofactor2``,
-``eliminate_universal_fused``) and the batched unit/pure application
-must compute exactly the functions of the naive ``cofactor``/``rename``
-chains they replace.  Equivalence is checked property-style with
-``Aig.evaluate`` under random assignments, on random expression AIGs
-and on random DQBFs.
+``eliminate_universal_fused``) must compute the functions of the
+``cofactor`` chains they replace.  HQS's elimination steps are checked
+against the theorems themselves, evaluated naively: truth tables from
+``Aig.evaluate`` on the *original* matrix (Theorem 1's
+``phi[0/x] ∧ phi[1/x][y'/y]``, Theorem 5's substitution of each
+unit/pure round), and whole solves against ``expansion_solve``.
 
 The rebuild loops inline the strash step instead of calling
 ``Aig.land`` per node.  ``TestInlinedStrashOracle`` keeps the per-node
@@ -22,11 +23,11 @@ from hypothesis import strategies as st
 
 from repro.aig.cnf_bridge import cnf_to_aig
 from repro.aig.graph import FALSE, TRUE, Aig, RestrictMemo, complement
-from repro.aig.unitpure import find_units
+from repro.aig.unitpure import detect_unit_pure, find_units
 from repro.core.elimination import eliminate_universal
 from repro.core.hqs import HqsOptions, HqsSolver
 from repro.core.state import AigDqbf
-from repro.core.unitpure import UnitPureStats, apply_unit_pure
+from repro.core.unitpure import UnitPureStats, _apply_round, apply_unit_pure
 from repro.formula.dqbf import Dqbf, expansion_solve
 
 from conftest import (
@@ -49,24 +50,12 @@ def random_edge(aig: Aig, rng: random.Random, variables, depth: int) -> int:
     return {"and": aig.land, "or": aig.lor, "xor": aig.lxor}[op](a, b)
 
 
-def assignments(variables, rng: random.Random, samples: int = 16):
-    """All assignments when small, a random sample otherwise."""
+def assignments(variables):
+    """The full truth table over ``variables`` (at most 10 of them)."""
     variables = sorted(variables)
-    if len(variables) <= 6:
-        for values in itertools.product([False, True], repeat=len(variables)):
-            yield dict(zip(variables, values))
-    else:
-        for _ in range(samples):
-            yield {v: rng.random() < 0.5 for v in variables}
-
-
-def equivalent(aig_a: Aig, root_a: int, aig_b: Aig, root_b: int, variables, rng) -> bool:
-    for assignment in assignments(variables, rng):
-        va = (root_a == TRUE) if root_a in (TRUE, FALSE) else aig_a.evaluate(root_a, assignment)
-        vb = (root_b == TRUE) if root_b in (TRUE, FALSE) else aig_b.evaluate(root_b, assignment)
-        if va != vb:
-            return False
-    return True
+    assert len(variables) <= 10
+    for values in itertools.product([False, True], repeat=len(variables)):
+        yield dict(zip(variables, values))
 
 
 def state_of(formula: Dqbf) -> AigDqbf:
@@ -125,7 +114,7 @@ class TestFusedPrimitives:
             var = rng.choice(variables)
             ex = aig.exists(root, var)
             fa = aig.forall(root, var)
-            for assignment in assignments(set(variables) - {var}, rng):
+            for assignment in assignments(set(variables) - {var}):
                 branches = [
                     aig.evaluate(root, {**assignment, var: value})
                     if root not in (TRUE, FALSE)
@@ -144,106 +133,123 @@ class TestFusedElimination:
     @settings(max_examples=40, deadline=None)
     @given(formula=dqbf_strategy())
     def test_theorem1_fused_equals_naive(self, formula):
-        """One Theorem-1 step: fused and naive produce the same function."""
-        rng = random.Random(4)
-        universal = formula.prefix.universals[0]
-        fused_state = state_of(formula.copy())
-        naive_state = state_of(formula.copy())
-        fused_copies = eliminate_universal(fused_state, universal, fused=True)
-        naive_copies = eliminate_universal(naive_state, universal, fused=False)
+        """One Theorem-1 step equals the theorem evaluated naively, point
+        by point on the original matrix: ``phi[0/x] ∧ phi[1/x][y'/y]``
+        with the kernel's copies as the ``y'``."""
+        x = formula.prefix.universals[0]
+        before = formula.prefix
+        original = state_of(formula.copy())
+        state = state_of(formula.copy())
+        copies = eliminate_universal(state, x)
 
-        assert set(fused_copies) == set(naive_copies)
-        # Copy *names* may differ between the paths; align them.
-        fused_to_naive = {
-            fused_copies[y]: naive_copies[y] for y in fused_copies
-        }
-        if fused_state.root > 1:
-            aligned = fused_state.aig.rename(fused_state.root, fused_to_naive)
-        else:
-            aligned = fused_state.root
-        support = set()
-        if naive_state.root > 1:
-            support |= naive_state.aig.support(naive_state.root)
-        if aligned > 1:
-            support |= fused_state.aig.support(aligned)
-        assert equivalent(
-            fused_state.aig, aligned, naive_state.aig, naive_state.root, support, rng
+        # Prefix: x is gone and every copy inherits D_y minus x.
+        dependents = before.dependents_of(x)
+        assert set(copies) <= set(dependents)
+        assert set(state.prefix.universals) == set(before.universals) - {x}
+        assert set(state.prefix.existentials) == (
+            set(before.existentials) | set(copies.values())
         )
-        # And the prefix bookkeeping must agree — modulo the same copy-name
-        # alignment (the fused kernel may burn fresh numbers on copies that
-        # do not survive simplification, so the raw ids can differ).
-        assert set(fused_state.prefix.universals) == set(naive_state.prefix.universals)
-        aligned_existentials = {
-            fused_to_naive.get(y, y) for y in fused_state.prefix.existentials
-        }
-        assert aligned_existentials == set(naive_state.prefix.existentials)
-        for y in fused_copies:
-            assert fused_state.prefix.dependencies(
-                fused_copies[y]
-            ) == naive_state.prefix.dependencies(naive_copies[y])
+        for y in before.existentials:
+            assert state.prefix.dependencies(y) == before.dependencies(y) - {x}
+        for y, y_copy in copies.items():
+            assert state.prefix.dependencies(y_copy) == before.dependencies(y) - {x}
+
+        support = original.support()
+        if x not in support:
+            # phi ignores x: the step only drops x from the prefix.
+            assert copies == {}
+            for assignment in assignments(support):
+                assert state.evaluate(assignment) == original.evaluate(assignment)
+            return
+        # A dependent without a copy gets an unused stand-in, so the
+        # oracle also checks that phi[1/x] really ignores it.
+        stand_ins = iter(range(state.next_var, state.next_var + len(dependents)))
+        primed = {y: copies[y] if y in copies else next(stand_ins) for y in dependents}
+        for assignment in assignments((support - {x}) | set(primed.values())):
+            renamed = {**assignment, **{y: assignment[primed[y]] for y in dependents}}
+            want = original.evaluate({**assignment, x: False}) and original.evaluate(
+                {**renamed, x: True}
+            )
+            assert state.evaluate(assignment) == want
 
     def test_copies_only_for_occurring_dependents(self):
         # Matrix (x | y2) & (!x | y3): the 1-cofactor is just y3, so only
-        # y3 gets a copy even though y2 also depends on x (naive behaviour).
+        # y3 gets a copy even though y2 also depends on x.
         formula = Dqbf.build([1], [(2, [1]), (3, [1])], [[1, 2], [-1, 3]])
         state = state_of(formula)
-        copies = eliminate_universal(state, 1, fused=True)
+        copies = eliminate_universal(state, 1)
         assert 2 not in copies
         assert 3 in copies
+
+
+def theorem5_assignment(prefix, info):
+    """Theorem 5's substitution for one detection round: units get their
+    forced value, existential pures their polarity, universal pures the
+    adverse one.  ``None`` when a quantified universal is a unit."""
+    assignment = {}
+    for var, forced in info.units.items():
+        if prefix.quantifies(var):
+            if prefix.is_universal(var):
+                return None
+            assignment[var] = forced
+    for var, polarity in info.pures.items():
+        if prefix.quantifies(var):
+            assignment[var] = polarity if prefix.is_existential(var) else not polarity
+    return assignment
 
 
 class TestBatchedUnitPure:
     @settings(max_examples=40, deadline=None)
     @given(formula=dqbf_strategy(max_universals=3, max_existentials=3))
     def test_batched_equals_naive(self, formula):
-        rng = random.Random(5)
-        batched_state = state_of(formula.copy())
-        naive_state = state_of(formula.copy())
-        batched_outcome = apply_unit_pure(batched_state, UnitPureStats(), batched=True)
-        naive_outcome = apply_unit_pure(naive_state, UnitPureStats(), batched=False)
-        assert batched_outcome == naive_outcome
-        # On the UNSAT short-circuit the paths may abort mid-round with
-        # different partial states; the solver discards them either way.
-        if batched_outcome is None:
-            assert set(batched_state.prefix.universals) == set(
-                naive_state.prefix.universals
+        """Every batched round equals Theorem 5's substitution evaluated
+        naively, point by point on the original matrix, and the rounds
+        end where :func:`apply_unit_pure` ends."""
+        original = state_of(formula.copy())
+        state = state_of(formula.copy())
+        fixed = {}
+        while True:
+            outcome = state.is_constant()
+            if outcome is not None:
+                break
+            info = detect_unit_pure(state.aig, state.root)
+            if not info:
+                break
+            assignment = theorem5_assignment(state.prefix, info)
+            result = _apply_round(state, info, UnitPureStats())
+            if assignment is None:
+                assert result is False
+                outcome = False
+                break
+            if not assignment:
+                assert result is None
+                break
+            fixed.update(assignment)
+            assert set(state.prefix.universals) == set(formula.prefix.universals) - set(fixed)
+            assert set(state.prefix.existentials) == (
+                set(formula.prefix.existentials) - set(fixed)
             )
-            assert set(batched_state.prefix.existentials) == set(
-                naive_state.prefix.existentials
-            )
-            support = set()
-            if batched_state.root > 1:
-                support |= batched_state.aig.support(batched_state.root)
-            if naive_state.root > 1:
-                support |= naive_state.aig.support(naive_state.root)
-            assert equivalent(
-                batched_state.aig,
-                batched_state.root,
-                naive_state.aig,
-                naive_state.root,
-                support,
-                rng,
-            )
+            for values in assignments(original.support() - set(fixed)):
+                assert state.evaluate(values) == original.evaluate({**values, **fixed})
+        assert apply_unit_pure(state_of(formula.copy()), UnitPureStats()) == outcome
 
     def test_universal_unit_still_unsat(self):
         # forall x: x & (...)  -> universal unit, immediately UNSAT.
         formula = Dqbf.build([1], [(2, [1])], [[1], [1, 2]])
         state = state_of(formula)
-        assert apply_unit_pure(state, UnitPureStats(), batched=True) is False
+        assert apply_unit_pure(state, UnitPureStats()) is False
 
 
 class TestSolverEquivalence:
-    def test_fused_and_naive_agree_with_oracle(self, rng):
+    def test_agrees_with_expansion_oracle(self, rng):
         for _ in range(30):
             formula = random_dqbf(rng)
             expected = expansion_solve(formula.copy())
-            for fused in (True, False):
-                options = HqsOptions(use_fused_kernel=fused)
-                result = HqsSolver(options).solve(formula.copy())
-                assert result.solved
-                assert (result.status == "SAT") == expected, (
-                    f"kernel fused={fused} disagrees with oracle on {formula!r}"
-                )
+            result = HqsSolver().solve(formula.copy())
+            assert result.solved
+            assert (result.status == "SAT") == expected, (
+                f"HQS disagrees with oracle on {formula!r}"
+            )
 
 
 class TestKernelStats:
@@ -270,23 +276,19 @@ class TestKernelStats:
         solver.solve(random_dqbf(rng).copy())
         assert any("kernel" in line for line in solver.trace)
 
-    def test_sat_service_counters_on_both_kernel_paths(self, rng):
-        # The incremental SAT service is orthogonal to the kernel choice:
-        # sat_* counters must appear on the fused and the naive path alike.
+    def test_sat_service_counters_exported(self, rng):
         formula = random_dqbf(rng)
-        for fused in (True, False):
-            options = HqsOptions(use_preprocessing=False, use_fused_kernel=fused)
-            result = HqsSolver(options).solve(formula.copy())
-            for key in (
-                "sat_queries",
-                "sat_conflicts",
-                "sat_clauses_encoded",
-                "sat_encode_cache_hits",
-                "sat_learnts_reused",
-                "sat_counterexamples",
-                "sat_rebinds",
-            ):
-                assert key in result.stats, f"missing {key} (fused={fused})"
+        result = HqsSolver(HqsOptions(use_preprocessing=False)).solve(formula.copy())
+        for key in (
+            "sat_queries",
+            "sat_conflicts",
+            "sat_clauses_encoded",
+            "sat_encode_cache_hits",
+            "sat_learnts_reused",
+            "sat_counterexamples",
+            "sat_rebinds",
+        ):
+            assert key in result.stats, f"missing {key}"
 
 
 class TestMetadataCache:

@@ -127,10 +127,6 @@ class TestBlockedPrefix:
         assert prefix.quantifier_of(2) == EXISTS
         assert prefix.quantifier_of(9) is None
 
-    def test_innermost_block(self):
-        prefix = BlockedPrefix([(FORALL, [1]), (EXISTS, [2, 3])])
-        assert prefix.innermost_block() == (EXISTS, [2, 3])
-
     def test_remove_variable_merges_neighbours(self):
         prefix = BlockedPrefix([(FORALL, [1]), (EXISTS, [2]), (FORALL, [3])])
         prefix.remove_variable(2)

@@ -4,16 +4,18 @@ Covers the graceful-degradation contract: every budget exhaustion ends
 in an ``UNKNOWN`` result carrying a machine-readable
 :class:`~repro.errors.FailureDiagnosis` (never an escaping exception),
 and each degradable pipeline stage falls back to its cheaper
-alternative when only its own slice of the budget is spent.  The
-``*_time_fraction <= 0`` / ``maxsat_conflict_budget=0`` options are the
-fault-injection hooks: they expire a stage slice instantly while the
-overall budget stays healthy.
+alternative when only its own slice of the budget is spent.  Faults
+are injected by patching the stage-budget constants of
+:mod:`repro.core.hqs`: ``*_TIME_FRACTION = 0`` or
+``MAXSAT_CONFLICT_BUDGET = 0`` expires a stage slice instantly while
+the overall budget stays healthy.
 """
 
 import time
 
 import pytest
 
+from repro.core import hqs
 from repro.core.guard import ResourceGuard
 from repro.core.hqs import HqsOptions, HqsSolver, solve_dqbf
 from repro.core.result import Limits, SAT, UNKNOWN, UNSAT
@@ -130,20 +132,20 @@ class TestDegradationLadder:
         # enough eliminations for FRAIG sweeps to actually run.
         return make_comp(6, 2, buggy=True, seed=11)
 
-    def test_maxsat_over_budget_degrades_to_greedy(self):
+    def test_maxsat_over_budget_degrades_to_greedy(self, monkeypatch):
+        monkeypatch.setattr(hqs, "MAXSAT_CONFLICT_BUDGET", 0)
         instance = self._instance()
-        options = HqsOptions(maxsat_conflict_budget=0)
-        result = HqsSolver(options).solve(
+        result = HqsSolver().solve(
             instance.formula.copy(), Limits(time_limit=120)
         )
         assert result.status in (SAT, UNSAT)
         assert result.status == (SAT if instance.expected else UNSAT)
         assert result.stats.get("degrade_maxsat") == 1
 
-    def test_qbf_over_budget_degrades_to_expansion(self):
+    def test_qbf_over_budget_degrades_to_expansion(self, monkeypatch):
+        monkeypatch.setattr(hqs, "QBF_TIME_FRACTION", 0.0)
         instance = self._instance()
-        options = HqsOptions(qbf_time_fraction=0.0)
-        result = HqsSolver(options).solve(
+        result = HqsSolver().solve(
             instance.formula.copy(), Limits(time_limit=120)
         )
         assert result.status == (SAT if instance.expected else UNSAT)
@@ -165,9 +167,9 @@ class TestDegradationLadder:
 
     def test_qbf_slice_expiring_inside_cegar_degrades(self, monkeypatch):
         entered = self._sleep_in_cegar(monkeypatch)
+        monkeypatch.setattr(hqs, "QBF_TIME_FRACTION", 0.01)
         instance = self._instance()
-        options = HqsOptions(qbf_time_fraction=0.01)
-        solver = HqsSolver(options, trace=True)
+        solver = HqsSolver(trace=True)
         result = solver.solve(instance.formula.copy(), Limits(time_limit=20))
         assert entered
         assert result.status == (SAT if instance.expected else UNSAT)
@@ -179,8 +181,8 @@ class TestDegradationLadder:
 
     def test_whole_deadline_inside_cegar_is_unknown(self, monkeypatch):
         entered = self._sleep_in_cegar(monkeypatch)
-        options = HqsOptions(qbf_time_fraction=1.0)
-        solver = HqsSolver(options, trace=True)
+        monkeypatch.setattr(hqs, "QBF_TIME_FRACTION", 1.0)
+        solver = HqsSolver(trace=True)
         result = solver.solve(self._instance().formula.copy(), Limits(time_limit=1.0))
         assert entered
         assert result.status == UNKNOWN
@@ -189,31 +191,30 @@ class TestDegradationLadder:
         assert "degrade_qbf" not in result.stats
         assert not any("QBF back-end decided" in line for line in solver.trace)
 
-    def test_fraig_over_budget_degrades_to_strash(self):
+    def test_fraig_over_budget_degrades_to_strash(self, monkeypatch):
+        monkeypatch.setattr(hqs, "FRAIG_TIME_FRACTION", 0.0)
         instance = self._instance()
-        options = HqsOptions(fraig_interval=1, fraig_time_fraction=0.0)
-        result = HqsSolver(options).solve(
+        result = HqsSolver(HqsOptions(fraig_interval=1)).solve(
             instance.formula.copy(), Limits(time_limit=120)
         )
         assert result.status == (SAT if instance.expected else UNSAT)
         assert result.stats.get("degrade_fraig", 0) >= 1
 
-    def test_degraded_ladder_matches_oracle_on_small_formulas(self):
+    def test_degraded_ladder_matches_oracle_on_small_formulas(self, monkeypatch):
         # All three fallbacks at once, on a formula small enough for the
         # semantic oracle: degradation must never change the answer.
+        monkeypatch.setattr(hqs, "MAXSAT_CONFLICT_BUDGET", 0)
+        monkeypatch.setattr(hqs, "QBF_TIME_FRACTION", 0.0)
+        monkeypatch.setattr(hqs, "FRAIG_TIME_FRACTION", 0.0)
         formula = Dqbf.build(
             [1, 2],
             [(3, [1]), (4, [2])],
             [[3, 4, 1], [-3, -4, 2], [3, -4, -1], [-3, 4, -2]],
         )
         expected = _oracle_status(formula)
-        options = HqsOptions(
-            maxsat_conflict_budget=0,
-            qbf_time_fraction=0.0,
-            fraig_interval=1,
-            fraig_time_fraction=0.0,
+        result = HqsSolver(HqsOptions(fraig_interval=1)).solve(
+            formula.copy(), Limits(time_limit=60)
         )
-        result = HqsSolver(options).solve(formula.copy(), Limits(time_limit=60))
         assert result.status == expected
 
 
